@@ -43,6 +43,7 @@ use std::collections::HashMap;
 use std::io::BufRead as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
+use std::sync::{Condvar, Mutex};
 
 /// Pad request sources to at least this many bytes — comfortably past
 /// `proto2::COMPRESS_MIN_BYTES`, so every v2 request body compresses.
@@ -464,12 +465,12 @@ fn v2_absorb(
 
 /// The v2 client: one negotiated connection, up to `window` requests in
 /// flight, responses matched back to their request by rid. Same paced
-/// schedule as v1 — the pipeline depth is the only variable. One thread
-/// owns both halves: after every send it flips the socket non-blocking
-/// and drains whatever responses have arrived, so a response is
-/// timestamped within one send interval of arrival instead of sitting
-/// unread in the socket inflating its own latency — without paying a
-/// reader thread's context switches on a small box.
+/// schedule as v1 — the pipeline depth is the only variable. This thread
+/// paces and sends; a reader thread blocks on the socket and timestamps
+/// each response the moment it arrives. A single thread that reads only
+/// between sends would charge every response the wait until the next
+/// send, and socket read timeouts are too coarse (kernel ticks) to wake
+/// it on time for sub-millisecond gaps.
 fn run_client_v2(
     addr: &str,
     batch: &[(usize, usize, String)],
@@ -489,54 +490,59 @@ fn run_client_v2(
     };
     let (mut tx, mut rx) = c.split();
     let window = tx.caps.window.max(1) as usize;
-    // How many backlogged requests may share one write syscall; bounds
-    // the stretch between response drains while behind schedule.
+    // How many backlogged requests may share one write syscall.
     let max_queue = window.min(8);
-    let mut pending: HashMap<u64, (usize, usize)> = HashMap::with_capacity(window);
-    let mut samples = Vec::with_capacity(batch.len());
-    let mut queued = 0usize;
-    for (i, (k, entry, frame)) in batch.iter().enumerate() {
-        pace(start, *k, rps);
-        // Window full: put the queue on the wire, then block until a
-        // slot frees.
-        if pending.len() >= window {
+    // rid -> (entry, k) for every request in flight; the reader removes
+    // each on arrival and wakes a sender waiting for a window slot.
+    let inflight = (Mutex::new(HashMap::with_capacity(window)), Condvar::new());
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| -> Result<Vec<ABSample>, String> {
+            let mut samples = Vec::with_capacity(batch.len());
+            while samples.len() < batch.len() {
+                let f = rx.recv().map_err(|e| format!("v2 recv: {e}"))?;
+                let (m, cv) = &inflight;
+                v2_absorb(&f, &mut m.lock().unwrap(), &mut samples, start, rps)?;
+                cv.notify_one();
+            }
+            Ok(samples)
+        });
+        let mut queued = 0usize;
+        for (i, (k, entry, frame)) in batch.iter().enumerate() {
+            pace(start, *k, rps);
+            let (m, cv) = &inflight;
+            if m.lock().unwrap().len() >= window {
+                // Window full: put the queue on the wire — never under
+                // the lock, which the reader needs to make room — then
+                // wait for a slot (or for the reader to fail).
+                tx.flush().map_err(|e| format!("v2 send: {e}"))?;
+                queued = 0;
+            }
+            let mut pending = m.lock().unwrap();
+            while pending.len() >= window && !reader.is_finished() {
+                pending = cv.wait_timeout(pending, Duration::from_millis(50)).unwrap().0;
+            }
+            pending.insert(*k as u64, (*entry, *k));
+            drop(pending);
+            if reader.is_finished() {
+                break; // the reader's error is the series' result.
+            }
+            tx.queue(proto2::FrameType::Request, "", *k as u64, frame.trim_end());
+            queued += 1;
+            // Keep queueing while the next request is already due — a
+            // backlogged burst becomes one write. On schedule, every
+            // request flushes individually, just like v1.
+            let next_is_due = batch
+                .get(i + 1)
+                .is_some_and(|(nk, _, _)| due_offset(*nk, rps) <= start.elapsed());
+            if queued < max_queue && next_is_due {
+                continue;
+            }
             tx.flush().map_err(|e| format!("v2 send: {e}"))?;
             queued = 0;
-            while pending.len() >= window {
-                let f = rx.recv().map_err(|e| format!("v2 recv: {e}"))?;
-                v2_absorb(&f, &mut pending, &mut samples, start, rps)?;
-            }
-        }
-        pending.insert(*k as u64, (*entry, *k));
-        tx.queue(proto2::FrameType::Request, "", *k as u64, frame.trim_end());
-        queued += 1;
-        // Keep queueing while the next request is already due — a
-        // backlogged burst becomes one write. On schedule, every
-        // request flushes (and drains) individually, just like v1.
-        let next_is_due = batch
-            .get(i + 1)
-            .is_some_and(|(nk, _, _)| due_offset(*nk, rps) <= start.elapsed());
-        if queued < max_queue && next_is_due {
-            continue;
         }
         tx.flush().map_err(|e| format!("v2 send: {e}"))?;
-        queued = 0;
-        // Opportunistic drain: take everything already readable, then
-        // go back to pacing. The mode flip is safe — both halves live
-        // on this thread, and no send happens while non-blocking.
-        rx.set_nonblocking(true)?;
-        while let Some(f) = rx.recv_ready().map_err(|e| format!("v2 recv: {e}"))? {
-            v2_absorb(&f, &mut pending, &mut samples, start, rps)?;
-        }
-        rx.set_nonblocking(false)?;
-    }
-    // Tail: every request is sent; wait out the stragglers.
-    tx.flush().map_err(|e| format!("v2 send: {e}"))?;
-    while !pending.is_empty() {
-        let f = rx.recv().map_err(|e| format!("v2 recv: {e}"))?;
-        v2_absorb(&f, &mut pending, &mut samples, start, rps)?;
-    }
-    Ok(samples)
+        reader.join().expect("v2 reader thread")
+    })
 }
 
 #[cfg(test)]
@@ -567,6 +573,93 @@ mod tests {
         assert_eq!(v2_window(&tight), 1);
         let wide = LoadConfig { clients: 2, workers: 8, queue_bound: 64, ..LoadConfig::default() };
         assert_eq!(v2_window(&wide), 18);
+    }
+
+    /// A v2 peer that answers every request exactly `delay` after it
+    /// arrives, however many are in flight. Returns its address.
+    fn delayed_responder(delay: Duration) -> String {
+        use std::io::Write as _;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let Ok((s, _)) = listener.accept() else { return };
+            s.set_nodelay(true).unwrap();
+            // Due times are arrival + a constant, so a FIFO writer that
+            // sleeps until each one is due answers every frame on time.
+            let (due_tx, due_rx) = std::sync::mpsc::channel::<(Instant, proto2::Frame)>();
+            let mut w = s.try_clone().unwrap();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                for (due, f) in due_rx {
+                    std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                    out.clear();
+                    proto2::encode_frame(&mut out, f.ftype, &f.cid, f.rid, &f.body, None);
+                    if w.write_all(&out).is_err() {
+                        return;
+                    }
+                }
+            });
+            let mut r = std::io::BufReader::new(s);
+            let mut acc: Vec<u8> = Vec::new();
+            loop {
+                let bait = acc.iter().take_while(|b| **b == b'\n').count();
+                acc.drain(..bait);
+                if let Ok(Some(total)) = proto2::frame_len(&acc) {
+                    if acc.len() >= total {
+                        let (mut f, _) = proto2::decode_frame(&acc).unwrap();
+                        acc.drain(..total);
+                        let now = Instant::now();
+                        let due = if f.ftype == proto2::FrameType::Hello {
+                            let want = proto2::parse_hello(&f.body).unwrap();
+                            f.ftype = proto2::FrameType::HelloAck;
+                            f.body = proto2::hello_body(&proto2::negotiate(&want));
+                            now
+                        } else {
+                            f.ftype = proto2::FrameType::Response;
+                            f.body = "{\"id\":\"d\",\"code\":200}".to_string();
+                            now + delay
+                        };
+                        if due_tx.send((due, f)).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
+                }
+                match r.fill_buf() {
+                    Ok([]) | Err(_) => return,
+                    Ok(chunk) => {
+                        let n = chunk.len();
+                        acc.extend_from_slice(chunk);
+                        r.consume(n);
+                    }
+                }
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn v2_latency_tracks_the_server_not_the_send_gap() {
+        // At 300 rps the send gap (3.3 ms) is over 4x the server's delay;
+        // a client that reads only after its next send reports the gap.
+        let delay = Duration::from_micros(800);
+        let d_us = delay.as_micros() as u64;
+        for rps in [300u64, 3000] {
+            let addr = delayed_responder(delay);
+            let batch: Vec<(usize, usize, String)> = (0..(rps / 5) as usize)
+                .map(|k| (k, 0, "{\"op\":\"ping\"}".to_string()))
+                .collect();
+            let samples = run_client_v2(&addr, &batch, rps, 8, Instant::now()).unwrap();
+            assert_eq!(samples.len(), batch.len(), "every request answered");
+            let mut lat: Vec<u64> = samples.iter().map(|s| s.micros).collect();
+            lat.sort_unstable();
+            let p50 = lat[lat.len() / 2];
+            assert!(
+                (d_us..=3 * d_us).contains(&p50),
+                "{rps} rps: v2 p50 {p50} us outside [{d_us}, {}] us",
+                3 * d_us
+            );
+        }
     }
 
     #[test]

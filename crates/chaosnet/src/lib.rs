@@ -31,7 +31,7 @@ use std::time::Duration;
 use mcc_harness::splitmix64;
 use mcc_serve::proto::MAX_FRAME_BYTES;
 use mcc_serve::proto2;
-use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead};
+use mcc_serve::tcp::{read_frame_buf, write_frame, FrameBufRead};
 
 /// Every fault kind the proxy can inject. The scheduler guarantees each kind
 /// appears exactly once per cycle of `KIND_COUNT` faulted frames.
@@ -357,10 +357,10 @@ fn relay_connection(client: TcpStream, sh: Arc<Shared>) {
             return;
         }
         let unit: Vec<u8> = match wire {
-            Wire::V1 => match read_frame_into(&mut client_r, &mut partial, MAX_FRAME_BYTES) {
-                Ok(FrameRead::Frame(f)) => f.into_bytes(),
-                Ok(FrameRead::TimedOut) => continue,
-                Ok(FrameRead::Eof) | Ok(FrameRead::Oversized) | Err(_) => return,
+            Wire::V1 => match read_frame_buf(&mut client_r, &mut partial, MAX_FRAME_BYTES) {
+                Ok(FrameBufRead::Frame) => std::mem::take(&mut partial),
+                Ok(FrameBufRead::TimedOut) => continue,
+                Ok(FrameBufRead::Eof) | Ok(FrameBufRead::Oversized) | Err(_) => return,
             },
             Wire::V2 => match read_unit_v2(&mut client_r, &mut partial, &sh.stop) {
                 Some(u) => u,
@@ -462,14 +462,14 @@ fn read_reply(wire: Wire, u: &mut Up) -> Option<Vec<u8>> {
     if wire == Wire::V1 {
         let mut partial = Vec::new();
         loop {
-            match read_frame_into(&mut u.r, &mut partial, MAX_FRAME_BYTES) {
-                Ok(FrameRead::Frame(f)) => return Some(f.into_bytes()),
-                Ok(FrameRead::TimedOut) => {
+            match read_frame_buf(&mut u.r, &mut partial, MAX_FRAME_BYTES) {
+                Ok(FrameBufRead::Frame) => return Some(partial),
+                Ok(FrameBufRead::TimedOut) => {
                     if start.elapsed() > deadline {
                         return None;
                     }
                 }
-                Ok(FrameRead::Eof) | Ok(FrameRead::Oversized) | Err(_) => return None,
+                Ok(FrameBufRead::Eof) | Ok(FrameBufRead::Oversized) | Err(_) => return None,
             }
         }
     }

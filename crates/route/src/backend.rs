@@ -27,7 +27,7 @@ use std::time::Duration;
 use mcc_harness::backoff::{self, BackoffConfig};
 use mcc_serve::proto::{self, Envelope, Response, MAX_FRAME_BYTES};
 use mcc_serve::proto2;
-use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead};
+use mcc_serve::tcp::{read_frame_buf, write_frame, FrameBufRead, LineHandler};
 use mcc_serve::Server;
 
 /// One shard, behind whatever transport reaches it.
@@ -83,14 +83,18 @@ impl Backend for InProcBackend {
         if self.dead.load(Ordering::SeqCst) {
             return Err(format!("{}: connection refused (killed)", self.name));
         }
-        // Through the frame path, so enveloped requests get the same
-        // dedup/replay semantics a TCP shard would apply; the envelope is
-        // stripped because backends return bare bodies (the router wraps
-        // its own client's response itself).
-        let resp = self.server.handle_frame(line, client);
-        Ok(match proto::unwrap_envelope(&resp) {
-            Envelope::Enveloped { body, .. } => format!("{body}\n"),
-            _ => resp,
+        // Decode the router's envelope as a TCP shard's line loop would,
+        // so enveloped requests get the same dedup/replay semantics; the
+        // answer is the bare body backends return.
+        Ok(match proto::unwrap_envelope(line) {
+            Envelope::Bare => self.server.submit(line, None, client).wait(),
+            Envelope::Enveloped { cid, rid, body } => {
+                self.server.submit(&body, Some((&cid, rid)), client).wait()
+            }
+            Envelope::Corrupt(reason) => {
+                self.server.on_corrupt_frame();
+                Response::error("", 400, &reason).to_line()
+            }
         })
     }
 }
@@ -258,19 +262,21 @@ impl TcpBackend {
         // connection, so `buf` never carries a torn partial forward.
         conn.buf.clear();
         loop {
-            let resp = match read_frame_into(&mut conn.r, &mut conn.buf, MAX_FRAME_BYTES)
+            match read_frame_buf(&mut conn.r, &mut conn.buf, MAX_FRAME_BYTES)
                 .map_err(|e| format!("read: {e}"))?
             {
-                FrameRead::Frame(resp) => resp,
-                FrameRead::Eof => return Err("connection closed mid-response".to_string()),
-                FrameRead::TimedOut => {
+                FrameBufRead::Frame => {}
+                FrameBufRead::Eof => return Err("connection closed mid-response".to_string()),
+                FrameBufRead::TimedOut => {
                     return Err(format!(
                         "read timed out after {:?} (black-holed or stalled peer)",
                         self.read_timeout.unwrap_or_default()
                     ))
                 }
-                FrameRead::Oversized => return Err("oversized response frame".to_string()),
-            };
+                FrameBufRead::Oversized => return Err("oversized response frame".to_string()),
+            }
+            let resp = String::from_utf8_lossy(&conn.buf).into_owned();
+            conn.buf.clear();
             let Some((cid, rid)) = ident else {
                 return Ok(Wire::Ok(resp));
             };
@@ -509,7 +515,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let (server, stop) = (server.clone(), stop.clone());
-            std::thread::spawn(move || mcc_serve::tcp::serve(server, listener, stop))
+            std::thread::spawn(move || mcc_serve::tcp::serve_lines(server, listener, stop))
         };
         let b = TcpBackend::new("b0", &addr, 1, 2);
         // Sequential calls after the first must reuse the pooled
@@ -562,7 +568,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let (server, stop) = (server.clone(), stop.clone());
-            std::thread::spawn(move || mcc_serve::tcp::serve(server, listener, stop))
+            std::thread::spawn(move || mcc_serve::tcp::serve_lines(server, listener, stop))
         };
         let b = TcpBackend::new("b0", &addr, 1, 2);
         let frame = mcc_serve::proto::wrap_envelope("router-x", 11, "{\"op\":\"ping\"}");
@@ -621,7 +627,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let (server, stop) = (server.clone(), stop.clone());
-            std::thread::spawn(move || mcc_serve::tcp::serve(server, listener, stop))
+            std::thread::spawn(move || mcc_serve::tcp::serve_lines(server, listener, stop))
         };
         let b = TcpBackend::new("v2b", &addr, 1, 2).with_proto2(true);
         // Enveloped and bare calls both ride v2, and the same rid

@@ -48,10 +48,8 @@ use std::time::{Duration, Instant};
 
 use mcc_harness::{Admit, Breaker, BreakerConfig};
 use mcc_serve::metrics::{merge_with_label, sanitize_label};
-use mcc_serve::proto::{
-    self, frame_id, parse_request, CompileReq, Envelope, JoinReq, Request, Response,
-};
-use mcc_serve::tcp::LineHandler;
+use mcc_serve::proto::{self, frame_id, parse_request, CompileReq, JoinReq, Request, Response};
+use mcc_serve::tcp::{LineHandler, WireSubmission};
 
 pub mod backend;
 pub mod ring;
@@ -854,20 +852,8 @@ impl RouteCounters {
 }
 
 impl LineHandler for Router {
-    fn handle_wire(&self, line: &str, client: &str) -> String {
-        match proto::unwrap_envelope(line) {
-            Envelope::Bare => self.handle_line(line, client),
-            Envelope::Corrupt(reason) => {
-                self.counters.bump(&self.counters.corrupt_frames);
-                // Bare 400: the envelope's identity fields can't be
-                // trusted enough to echo them back.
-                Response::error("", 400, &reason).to_line()
-            }
-            Envelope::Enveloped { cid, rid, body } => {
-                let resp = self.handle_ident(&format!("{body}\n"), client, Some((&cid, rid)));
-                proto::wrap_envelope(&cid, rid, &resp)
-            }
-        }
+    fn submit(&self, body: &str, ident: Option<(&str, u64)>, client: &str) -> WireSubmission {
+        WireSubmission::Done(self.handle_ident(body, client, ident))
     }
 
     fn on_idle_reap(&self) {
@@ -1356,6 +1342,59 @@ mod tests {
         let r = router.handle_line(&compile_line(nonce), "t");
         assert_ne!(Response::field_str(&r, "backend").as_deref(), Some("b2"));
         stop.store(true, Ordering::SeqCst);
+        accept.join().ok();
+    }
+
+    #[test]
+    fn router_served_over_v2_answers_a_pipelined_burst_and_replays_retries() {
+        use mcc_serve::proto2::{Caps, Client, FrameType, Handshake};
+        use mcc_serve::tcp::serve_lines;
+        let (shards, router) = fleet(2, no_hedge());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let (router, stop) = (Arc::clone(&router), Arc::clone(&stop));
+            std::thread::spawn(move || serve_lines(router, listener, stop))
+        };
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let want = Caps { compress: true, window: 8 };
+        let mut c = match Client::handshake(stream, Some(Duration::from_secs(10)), &want).unwrap()
+        {
+            Handshake::V2(c) => c,
+            Handshake::V1Peer => panic!("the router speaks v2"),
+        };
+        // A burst of bare (even rid) and enveloped (odd rid) compiles,
+        // all sent before any response is read.
+        let cid = |rid: u64| if rid.is_multiple_of(2) { "" } else { "burst" };
+        for rid in 0..8u64 {
+            c.send(FrameType::Request, cid(rid), rid, &compile_line(100 + rid)).unwrap();
+        }
+        let mut seen = std::collections::HashMap::new();
+        while seen.len() < 8 {
+            let f = c.recv().unwrap();
+            assert_eq!(f.ftype, FrameType::Response);
+            assert_eq!(f.cid, cid(f.rid), "the identity is echoed");
+            seen.insert(f.rid, f.body);
+        }
+        for (rid, body) in &seen {
+            assert_eq!(Response::field_num(body, "code"), Some(200), "rid {rid}: {body}");
+        }
+        // A retried enveloped frame replays from the owning shard's
+        // dedup window: nothing executes again.
+        let total = |f: fn(&mcc_serve::ServeCounters) -> &AtomicU64| {
+            shards
+                .iter()
+                .map(|b| f(b.server().counters()).load(Ordering::Relaxed))
+                .sum::<u64>()
+        };
+        let (accepted, replayed) = (total(|c| &c.accepted), total(|c| &c.replayed));
+        let again = c.call("burst", 3, &compile_line(103)).unwrap();
+        assert_eq!(again.trim_end(), seen[&3], "the replay is byte-identical");
+        assert_eq!(total(|c| &c.replayed), replayed + 1, "served from the window");
+        assert_eq!(total(|c| &c.accepted), accepted, "not admitted again");
+        stop.store(true, Ordering::SeqCst);
+        drop(c);
         accept.join().ok();
     }
 }

@@ -2,7 +2,7 @@
 //! `(client_id, request_id)` that makes retries exactly-once.
 //!
 //! A client that loses a connection after the server executed its request
-//! (but before the response arrived) retries the *same* enveloped frame on a
+//! (but before the response arrived) retries the *same* `(cid, rid)` on a
 //! fresh connection. The window recognises the key and replays the recorded
 //! response instead of re-executing — the reconnect-and-resend path in
 //! `TcpBackend::call` is safe because of this window, not in spite of it.
@@ -19,6 +19,11 @@
 //! Transient rejections (`429` rate-limited, `503` shed/draining) are **not**
 //! recorded: a retry of a shed request must get a fresh chance at admission,
 //! so the caller passes `record = false` and the key is forgotten.
+//!
+//! Responses are recorded as bare lines, whichever dialect carried the key:
+//! the `@mcc1` envelope is a v1 wire encoding applied at the connection, and
+//! `wrap_envelope` is deterministic in `(cid, rid, body)`, so a v1 replay is
+//! byte-identical to the original answer and a v2 replay needs no unwrap.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -34,6 +34,7 @@
 //! dropped.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -244,7 +245,7 @@ impl Inner {
 }
 
 /// The daemon: construct with [`Server::start`], feed it frames with
-/// [`Server::handle_line`] (or serve TCP via [`tcp::serve`]), and stop it
+/// [`Server::handle_line`] (or serve TCP via [`tcp::serve_lines`]), and stop it
 /// with [`Server::drain`] + [`Server::shutdown`].
 pub struct Server {
     inner: Arc<Inner>,
@@ -345,70 +346,58 @@ impl Server {
     /// deadline) does. A `drain` frame begins the drain and answers
     /// `200` at once.
     pub fn handle_line(&self, line: &str, client: &str) -> Response {
-        match self.submit_line(line, client) {
-            Submitted::Done(r) => r,
-            // The supervisor guarantees exactly one send per admitted
-            // request, so a closed channel is unreachable; answer 500
-            // rather than panicking a connection if it ever regresses.
-            Submitted::Pending(rx) => rx
-                .recv()
-                .unwrap_or_else(|_| Response::error("", 500, "response channel lost")),
+        self.submit_line(line, client).wait()
+    }
+
+    /// Handles one request body under the exactly-once identity
+    /// `(cid, rid)`, with panic containment, blocking until its response
+    /// is ready. Through the idempotency window, a duplicate replays the
+    /// recorded response (or waits for the in-flight original) instead
+    /// of re-executing. The window records bare response lines; wrapping
+    /// one for a v1 peer is the wire loop's job.
+    pub(crate) fn handle_once(&self, body: &str, cid: &str, rid: u64) -> String {
+        let c = self.counters();
+        match self.inner.dedup.claim(cid, rid) {
+            Claim::Replay(resp) => {
+                c.bump(&c.replayed);
+                resp
+            }
+            Claim::Wait(rx) => {
+                c.bump(&c.replayed);
+                rx.recv_timeout(self.inner.cfg.deadline + Duration::from_secs(5))
+                    .unwrap_or_else(|_| {
+                        Response::error(&proto::frame_id(body), 504, "duplicate wait timed out")
+                            .to_line()
+                    })
+            }
+            Claim::Fresh => {
+                // The client id is the logical identity: rate limiting
+                // and dedup follow the client across reconnects, not the
+                // ephemeral socket address.
+                let r = self.submit_contained(body, cid).wait();
+                // Transient rejections must not be replayed: a retried
+                // frame deserves a fresh admission attempt.
+                let record = !matches!(r.code, 429 | 503);
+                let line = r.to_line();
+                self.inner.dedup.resolve(cid, rid, &line, record);
+                line
+            }
         }
     }
 
-    /// Handles one wire frame, enveloped or bare, with panic containment
-    /// and exactly-once semantics for enveloped frames.
-    ///
-    /// * bare JSON — the original [`Server::handle_line`] path, unchanged;
-    /// * `@mcc1` envelope — the `(cid, rid)` key goes through the
-    ///   idempotency window: duplicates replay the recorded response (or
-    ///   wait for the in-flight original) instead of re-executing, and the
-    ///   response is wrapped back with the same identity and a fresh
-    ///   checksum;
-    /// * corrupt envelope — counted, answered with a *bare* `400` (the
-    ///   identity fields cannot be trusted), never executed.
-    pub fn handle_frame(&self, line: &str, client: &str) -> String {
-        let c = self.counters();
-        match proto::unwrap_envelope(line) {
-            proto::Envelope::Bare => tcp::handle_contained(self, line, client).to_line(),
-            proto::Envelope::Corrupt(reason) => {
-                c.bump(&c.corrupt_frames);
-                Response::error("", 400, &reason).to_line()
-            }
-            proto::Envelope::Enveloped { cid, rid, body } => {
-                match self.inner.dedup.claim(&cid, rid) {
-                    Claim::Replay(resp) => {
-                        c.bump(&c.replayed);
-                        resp
-                    }
-                    Claim::Wait(rx) => {
-                        c.bump(&c.replayed);
-                        rx.recv_timeout(self.inner.cfg.deadline + Duration::from_secs(5))
-                            .unwrap_or_else(|_| {
-                                let id = proto::frame_id(&body);
-                                proto::wrap_envelope(
-                                    &cid,
-                                    rid,
-                                    &Response::error(&id, 504, "duplicate wait timed out")
-                                        .to_line(),
-                                )
-                            })
-                    }
-                    Claim::Fresh => {
-                        // The envelope's client id is the logical identity:
-                        // rate limiting and dedup follow the client across
-                        // reconnects, not the ephemeral socket address.
-                        let r = tcp::handle_contained(self, &format!("{body}\n"), &cid);
-                        // Transient rejections must not be replayed: a
-                        // retried frame deserves a fresh admission attempt.
-                        let record = !matches!(r.code, 429 | 503);
-                        let wrapped = proto::wrap_envelope(&cid, rid, &r.to_line());
-                        self.inner.dedup.resolve(&cid, rid, &wrapped, record);
-                        wrapped
-                    }
-                }
-            }
-        }
+    /// [`Server::submit_line`] behind `catch_unwind`: a panic anywhere in
+    /// intake becomes a structured `500`, never a dead connection.
+    pub(crate) fn submit_contained(&self, line: &str, client: &str) -> Submitted {
+        catch_unwind(AssertUnwindSafe(|| self.submit_line(line, client))).unwrap_or_else(|p| {
+            Submitted::Done(Response::error(
+                &proto::frame_id(line),
+                500,
+                &format!(
+                    "panic contained in request loop: {}",
+                    mcc_harness::pool::panic_text(p.as_ref())
+                ),
+            ))
+        })
     }
 
     /// Non-blocking intake: parses and either resolves the frame
@@ -873,6 +862,21 @@ pub enum Submitted {
     Done(Response),
     /// Admitted: the single response arrives on this channel.
     Pending(mpsc::Receiver<Response>),
+}
+
+impl Submitted {
+    /// Blocks until the single response is ready.
+    pub fn wait(self) -> Response {
+        match self {
+            Submitted::Done(r) => r,
+            // The supervisor guarantees exactly one send per admitted
+            // request, so a closed channel is unreachable; answer 500
+            // rather than panicking a connection if it ever regresses.
+            Submitted::Pending(rx) => rx
+                .recv()
+                .unwrap_or_else(|_| Response::error("", 500, "response channel lost")),
+        }
+    }
 }
 
 /// The supervisor loop: drains pool outcomes into responses, enforces

@@ -858,70 +858,6 @@ impl ClientReceiver {
     pub fn recv(&mut self) -> Result<Frame, String> {
         recv_frame_on(&mut self.r, &mut self.acc)
     }
-
-    /// Toggles non-blocking mode on the underlying socket. The mode is
-    /// shared with the send half (same file description), so only flip
-    /// it when no send is in progress — i.e. from the thread that owns
-    /// both halves, strictly between sends.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `FIONBIO` ioctl error, stringified.
-    pub fn set_nonblocking(&self, nb: bool) -> Result<(), String> {
-        self.r
-            .get_ref()
-            .set_nonblocking(nb)
-            .map_err(|e| format!("set_nonblocking: {e}"))
-    }
-
-    /// Receives one frame if one is already buffered or readable right
-    /// now; `Ok(None)` once the socket has nothing more (`WouldBlock`).
-    /// In non-blocking mode this is the opportunistic drain primitive:
-    /// a pipelined sender calls it between sends so responses never sit
-    /// unread in the socket inflating their own measured latency.
-    ///
-    /// # Errors
-    ///
-    /// Peer close or a corrupt stream; a bare `WouldBlock` is `Ok(None)`.
-    pub fn recv_ready(&mut self) -> Result<Option<Frame>, String> {
-        loop {
-            let skip = self.acc.iter().take_while(|b| **b == b'\n').count();
-            if skip > 0 {
-                self.acc.drain(..skip);
-            }
-            match frame_len(&self.acc) {
-                Err(f) => return Err(format!("corrupt v2 stream: {}", f.reason())),
-                Ok(Some(total)) if self.acc.len() >= total => {
-                    let frame = match decode_frame(&self.acc) {
-                        Ok((f, _)) => f,
-                        Err(DecodeErr::Corrupt(s)) => {
-                            return Err(format!("corrupt v2 frame: {s}"))
-                        }
-                        Err(DecodeErr::Incomplete) => unreachable!("length was checked"),
-                    };
-                    self.acc.drain(..total);
-                    return Ok(Some(frame));
-                }
-                Ok(_) => {}
-            }
-            match self.r.fill_buf() {
-                Ok([]) => return Err("peer closed mid-frame".into()),
-                Ok(chunk) => {
-                    let n = chunk.len();
-                    self.acc.extend_from_slice(chunk);
-                    self.r.consume(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => return Err(format!("v2 read: {e}")),
-            }
-        }
-    }
 }
 
 /// Encodes and writes one frame; shared by [`Client`] and

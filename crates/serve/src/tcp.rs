@@ -1,19 +1,33 @@
-//! The TCP front end: newline-delimited JSON over `TcpListener`, one
-//! thread per connection, the accept loop polling a stop flag so a
-//! signal (or a `drain` frame) can end the daemon gracefully.
+//! The TCP front end: one listener, one thread per connection, and an
+//! accept loop that polls a stop flag so a signal (or a `drain` frame)
+//! can end the daemon gracefully.
 //!
 //! The loop is generic over a [`LineHandler`] so the compile daemon
 //! (`mcc serve`) and the shard router (`mcc route`) share one accept
-//! loop, one containment discipline, and one idle reaper.
+//! loop, one containment discipline, and one idle reaper. A handler has
+//! exactly one request method, [`LineHandler::submit`]: a bare JSON body
+//! plus the peer's optional exactly-once identity `(cid, rid)`.
 //!
-//! Containment discipline: each *request* is handled behind
-//! `catch_unwind`, so neither a malformed frame nor a pipeline bug can
-//! take down a connection, and no connection failure can take down the
-//! daemon — a dropped socket mid-frame just ends that connection's
-//! thread. Responses are written back in request order per connection
-//! (the protocol is pipelined but ordered, like HTTP/1.1), through
-//! [`write_frame`], which loops over partial writes and retries `EINTR`
-//! so a short `write` can never truncate a frame.
+//! The first inbound byte of a connection picks its dialect, and each
+//! dialect is decoded once, here at the edge:
+//!
+//! * **v1 lines** — one line in, one line out, in order. The `@mcc1`
+//!   envelope is a v1-only wire encoding of `(cid, rid)`: the line loop
+//!   is the only code that unwraps it, and it wraps the response back
+//!   for the peer. A corrupt envelope gets a bare `400` and is never
+//!   executed.
+//! * **v2 frames** — the burst loop: decode every complete frame a read
+//!   delivers, submit them all, collect the outcomes in arrival order
+//!   and answer with one write. The frame header's `(cid, rid)` goes
+//!   straight to the handler. A v2 connection spawns no thread besides
+//!   its own.
+//!
+//! Containment discipline: intake runs behind `catch_unwind`, so neither
+//! a malformed frame nor a pipeline bug can take down a connection, and
+//! no connection failure can take down the daemon — a dropped socket
+//! mid-frame just ends that connection's thread. Responses go out
+//! through [`write_frame`], which loops over partial writes and retries
+//! `EINTR` so a short `write` can never truncate a frame.
 //!
 //! Idle reaper: a connected client that never sends a request must not
 //! pin a connection thread forever. With an idle timeout set, the read
@@ -22,39 +36,32 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::proto::Response;
-use crate::Server;
+use crate::proto::{self, Envelope, Response};
+use crate::proto2::{self, Caps, FrameFault, FrameType};
+use crate::{Server, Submitted};
 
 /// How often the accept loop polls the stop flag.
 const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
-/// One endpoint of the newline-delimited protocol: turns a request line
-/// into a newline-terminated response line. Implemented by the compile
-/// daemon ([`Server`]) and by the router (`mcc_route::Router`).
+/// One endpoint of the wire protocol. Implemented by the compile daemon
+/// ([`Server`]) and by the router (`mcc_route::Router`).
 pub trait LineHandler: Send + Sync + 'static {
-    /// Handles one frame; the returned line must be newline-terminated.
-    fn handle_wire(&self, line: &str, client: &str) -> String;
-
-    /// Two-phase intake for pipelined peers: a handler that can
-    /// separate admission from completion returns `Pending`, letting
-    /// the wire loop put a whole burst of frames into the work queue
-    /// before collecting any outcome — the workers chew the backlog in
-    /// one scheduling quantum instead of round-tripping per request.
-    /// The default is the blocking round trip.
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission {
-        WireSubmission::Done(self.handle_wire(line, client))
-    }
+    /// Handles one request body (bare JSON, never an envelope). `ident`
+    /// is the peer's exactly-once identity `(cid, rid)` when it sent
+    /// one. A handler that can separate admission from completion
+    /// returns [`WireSubmission::Pending`], so a pipelined burst is
+    /// admitted whole before any outcome is collected.
+    fn submit(&self, body: &str, ident: Option<(&str, u64)>, client: &str) -> WireSubmission;
 
     /// Called when the idle reaper closes a connection.
     fn on_idle_reap(&self) {}
 
     /// Called when a connection is closed for exceeding
-    /// [`crate::proto::MAX_FRAME_BYTES`] on one inbound line.
+    /// [`crate::proto::MAX_FRAME_BYTES`] on one inbound frame.
     fn on_oversized(&self) {}
 
     /// Called once when a connection negotiates up to protocol v2.
@@ -63,8 +70,8 @@ pub trait LineHandler: Send + Sync + 'static {
     /// Called per decoded v2 frame.
     fn on_v2_frame(&self) {}
 
-    /// Called when a v2 stream turns structurally corrupt and the
-    /// connection is closed with an error frame.
+    /// Called when a frame is structurally corrupt: a v1 envelope that
+    /// fails validation, or a v2 stream that cannot be decoded.
     fn on_corrupt_frame(&self) {}
 
     /// The idle timeout for connections served on behalf of this
@@ -74,40 +81,32 @@ pub trait LineHandler: Send + Sync + 'static {
     }
 }
 
-/// The result of [`LineHandler::submit_wire`].
+/// The result of [`LineHandler::submit`].
 pub enum WireSubmission {
-    /// Resolved immediately; the line is newline-terminated.
+    /// Resolved immediately; the bare line is newline-terminated.
     Done(String),
     /// Admitted; the single response arrives on this channel.
     Pending(std::sync::mpsc::Receiver<Response>),
 }
 
-impl LineHandler for Server {
-    fn handle_wire(&self, line: &str, client: &str) -> String {
-        self.handle_frame(line, client)
-    }
-
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission {
-        // Only a bare frame can split admission from completion; an
-        // enveloped frame owes the idempotency layer a resolution,
-        // which the blocking path provides.
-        if !matches!(crate::proto::unwrap_envelope(line), crate::proto::Envelope::Bare) {
-            return WireSubmission::Done(self.handle_frame(line, client));
+impl WireSubmission {
+    /// Blocks until the response line is ready.
+    pub fn wait(self) -> String {
+        match self {
+            WireSubmission::Done(line) => line,
+            WireSubmission::Pending(rx) => Submitted::Pending(rx).wait().to_line(),
         }
-        match catch_unwind(AssertUnwindSafe(|| self.submit_line(line, client))) {
-            Ok(crate::Submitted::Done(r)) => WireSubmission::Done(r.to_line()),
-            Ok(crate::Submitted::Pending(rx)) => WireSubmission::Pending(rx),
-            Err(p) => WireSubmission::Done(
-                Response::error(
-                    &crate::proto::frame_id(line),
-                    500,
-                    &format!(
-                        "panic contained in request loop: {}",
-                        mcc_harness::pool::panic_text(p.as_ref())
-                    ),
-                )
-                .to_line(),
-            ),
+    }
+}
+
+impl LineHandler for Server {
+    fn submit(&self, body: &str, ident: Option<(&str, u64)>, client: &str) -> WireSubmission {
+        match ident {
+            Some((cid, rid)) => WireSubmission::Done(self.handle_once(body, cid, rid)),
+            None => match self.submit_contained(body, client) {
+                Submitted::Done(r) => WireSubmission::Done(r.to_line()),
+                Submitted::Pending(rx) => WireSubmission::Pending(rx),
+            },
         }
     }
 
@@ -141,43 +140,31 @@ impl LineHandler for Server {
     }
 }
 
-/// The outcome of reading one frame from a socket with a length cap.
+/// The outcome of [`read_frame_buf`]: the frame's bytes (including the
+/// newline) are left in the caller's buffer, so a connection loop can
+/// reuse one buffer for its whole lifetime.
 #[derive(Debug)]
-pub enum FrameRead {
-    /// One complete newline-terminated frame (invalid UTF-8 replaced, so
-    /// corruption surfaces as a parse `400`, never an I/O error).
-    Frame(String),
+pub enum FrameBufRead {
+    /// One complete newline-terminated frame's bytes are in the buffer.
+    Frame,
     /// Clean end of stream (a partial trailing frame is discarded — a torn
     /// frame is never processed as if it were complete).
     Eof,
-    /// The line exceeded the cap. The caller must answer with a structured
-    /// `400` and close the connection — there is no bounded way to resync.
+    /// The line exceeded the cap and the buffer has been cleared. The
+    /// caller must answer with a structured `400` and close the
+    /// connection — there is no bounded way to resync.
     Oversized,
-    /// The read timed out (`WouldBlock`/`TimedOut` from a socket deadline).
-    TimedOut,
-}
-
-/// [`read_frame_into`] minus the `String`: the frame's bytes (including
-/// the newline) are left in `buf` for the caller to borrow, so a
-/// connection loop can reuse one buffer for its whole lifetime instead
-/// of allocating a `String` per request.
-#[derive(Debug)]
-pub enum FrameBufRead {
-    /// One complete frame's bytes are in the caller's buffer.
-    Frame,
-    /// See [`FrameRead::Eof`].
-    Eof,
-    /// See [`FrameRead::Oversized`]; the buffer has been cleared.
-    Oversized,
-    /// See [`FrameRead::TimedOut`]; partial bytes stay in the buffer.
+    /// The read timed out (`WouldBlock`/`TimedOut` from a socket
+    /// deadline); partial bytes stay in the buffer.
     TimedOut,
 }
 
 /// Reads one capped frame into `buf`, leaving the bytes there (see
 /// [`FrameBufRead`]). Partial-frame state persists in `buf` across
 /// [`FrameBufRead::TimedOut`] returns so a caller that polls with a
-/// short read timeout never loses bytes. `EINTR` is retried, matching
-/// the [`write_frame`] write-all discipline.
+/// short read timeout never loses bytes; a caller that treats a timeout
+/// as fatal simply drops the buffer. `EINTR` is retried, matching the
+/// [`write_frame`] write-all discipline.
 ///
 /// # Errors
 ///
@@ -225,42 +212,6 @@ pub fn read_frame_buf(
             return Ok(FrameBufRead::Frame);
         }
     }
-}
-
-/// Reads one capped frame as an owned `String`, carrying partial-frame
-/// state in `buf` across [`FrameRead::TimedOut`] returns. Built on
-/// [`read_frame_buf`]; callers that can borrow should use that directly.
-///
-/// # Errors
-///
-/// See [`read_frame_buf`].
-pub fn read_frame_into(
-    r: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<FrameRead> {
-    Ok(match read_frame_buf(r, buf, max)? {
-        FrameBufRead::Frame => {
-            let frame = String::from_utf8_lossy(buf).into_owned();
-            buf.clear();
-            FrameRead::Frame(frame)
-        }
-        FrameBufRead::Eof => FrameRead::Eof,
-        FrameBufRead::Oversized => FrameRead::Oversized,
-        FrameBufRead::TimedOut => FrameRead::TimedOut,
-    })
-}
-
-/// [`read_frame_into`] with a throwaway buffer — for callers that treat a
-/// timeout as fatal for the connection (serve reaper, router round trips),
-/// where discarding a stalled half-frame is the intended behaviour.
-///
-/// # Errors
-///
-/// See [`read_frame_into`].
-pub fn read_frame(r: &mut impl BufRead, max: usize) -> io::Result<FrameRead> {
-    let mut buf = Vec::new();
-    read_frame_into(r, &mut buf, max)
 }
 
 /// Writes one whole response frame: loops until every byte is accepted,
@@ -319,7 +270,7 @@ pub fn serve_lines(
                 let stop = Arc::clone(&stop);
                 let client = addr.to_string();
                 std::thread::spawn(move || {
-                    let _ = connection(handler, stream, &client, &stop);
+                    let _ = connection(&*handler, stream, &client, &stop);
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -332,27 +283,13 @@ pub fn serve_lines(
     Ok(())
 }
 
-/// The compile daemon's entry point (kept for source compatibility):
-/// [`serve_lines`] over the server itself.
-///
-/// # Errors
-///
-/// See [`serve_lines`].
-pub fn serve(
-    server: Arc<Server>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> io::Result<()> {
-    serve_lines(server, listener, stop)
-}
-
 /// One connection. The first inbound byte picks the protocol: the v2
-/// magic (`0xB5`) routes to the pipelined frame loop, anything else
-/// (a `{` or `@` from a v1 peer) to the classic line loop — so v1-only
-/// clients get correct service from a v2 server with zero
-/// configuration. An idle timeout on the read side feeds the reaper.
+/// magic (`0xB5`) routes to the frame loop, anything else (a `{` or `@`
+/// from a v1 peer) to the line loop — so v1-only clients get correct
+/// service from a v2 server with zero configuration. An idle timeout on
+/// the read side feeds the reaper.
 fn connection(
-    handler: Arc<dyn LineHandler>,
+    handler: &dyn LineHandler,
     stream: TcpStream,
     client: &str,
     stop: &AtomicBool,
@@ -364,7 +301,7 @@ fn connection(
     loop {
         match reader.fill_buf() {
             Ok([]) => return Ok(()), // closed before the first byte.
-            Ok(chunk) if chunk[0] == crate::proto2::MAGIC[0] => {
+            Ok(chunk) if chunk[0] == proto2::MAGIC[0] => {
                 return v2_connection(handler, reader, writer, client, stop);
             }
             Ok(_) => break,
@@ -378,12 +315,18 @@ fn connection(
             Err(e) => return Err(e),
         }
     }
-    v1_connection(&*handler, reader, writer, client, stop)
+    v1_connection(handler, reader, writer, client, stop)
 }
 
-/// The classic v1 loop: read lines, answer each with exactly one line.
-/// One reusable buffer carries every request; the line is borrowed from
-/// it (`Cow`), so the steady state allocates nothing on the read side.
+/// True for a `drain` request, which stops the accept loop as well as
+/// draining the handler.
+fn is_drain(body: &str) -> bool {
+    matches!(proto::parse_request(body), Ok(crate::Request::Drain))
+}
+
+/// The v1 loop: read lines, answer each with exactly one line. One
+/// reusable buffer carries every request; the line is borrowed from it
+/// (`Cow`), so the steady state allocates nothing on the read side.
 fn v1_connection(
     handler: &dyn LineHandler,
     mut reader: BufReader<TcpStream>,
@@ -393,7 +336,7 @@ fn v1_connection(
 ) -> io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match read_frame_buf(&mut reader, &mut buf, crate::proto::MAX_FRAME_BYTES)? {
+        match read_frame_buf(&mut reader, &mut buf, proto::MAX_FRAME_BYTES)? {
             FrameBufRead::Frame => {}
             FrameBufRead::Eof => return Ok(()), // client closed cleanly.
             // The read timed out with nothing (or only a partial frame)
@@ -410,155 +353,78 @@ fn v1_connection(
                 let resp = Response::error(
                     "",
                     400,
-                    &format!(
-                        "oversized frame: longer than {} bytes",
-                        crate::proto::MAX_FRAME_BYTES
-                    ),
+                    &format!("oversized frame: longer than {} bytes", proto::MAX_FRAME_BYTES),
                 );
                 let _ = write_frame(&mut writer, resp.to_line().as_bytes());
                 return Ok(());
             }
         }
-        {
-            let line = String::from_utf8_lossy(&buf);
-            if !line.trim().is_empty() {
-                let response = handler.handle_wire(&line, client);
-                write_frame(&mut writer, response.as_bytes())?;
-                // A drain frame stops the accept loop too, not just this
-                // connection. Enveloped drains count: unwrap first.
-                let body = crate::proto::envelope_body(&line);
-                if matches!(crate::proto::parse_request(body), Ok(crate::Request::Drain)) {
-                    stop.store(true, Ordering::SeqCst);
-                }
-            }
+        let line = String::from_utf8_lossy(&buf);
+        if !line.trim().is_empty() {
+            write_frame(&mut writer, v1_answer(handler, &line, client, stop).as_bytes())?;
         }
         crate::buf::shrink_reusable(&mut buf);
     }
 }
 
-/// Ceiling on worker threads spawned per v2 connection; the negotiated
-/// window can exceed this (requests still queue), but per-connection
-/// thread fan-out stays bounded.
-const V2_WORKERS_MAX: usize = 8;
-
-/// Per-connection worker budget: the machine's parallelism, capped at
-/// [`V2_WORKERS_MAX`]. A budget of 1 selects the inline dispatch path —
-/// on a single-core box every extra thread hop is pure context-switch
-/// overhead, and pipelining should win on syscall amortization alone.
-/// `MCC_V2_WORKERS` overrides (clamped to `1..=V2_WORKERS_MAX`), which
-/// CI uses to pin one path regardless of runner shape.
-fn v2_worker_budget() -> usize {
-    if let Some(n) = std::env::var("MCC_V2_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.clamp(1, V2_WORKERS_MAX);
+/// Answers one v1 line. This is the only place an `@mcc1` envelope is
+/// unwrapped: the handler sees the bare body and its `(cid, rid)`, and
+/// the response is wrapped back with the same identity for the peer. A
+/// corrupt envelope gets a bare `400` — its identity fields cannot be
+/// trusted enough to echo — and is never executed.
+fn v1_answer(handler: &dyn LineHandler, line: &str, client: &str, stop: &AtomicBool) -> String {
+    let answer = |body: &str, ident: Option<(&str, u64)>| {
+        let resp = handler.submit(body, ident, client).wait();
+        if is_drain(body) {
+            stop.store(true, Ordering::SeqCst);
+        }
+        resp
+    };
+    match proto::unwrap_envelope(line) {
+        Envelope::Bare => answer(line, None),
+        Envelope::Enveloped { cid, rid, body } => {
+            proto::wrap_envelope(&cid, rid, &answer(&body, Some((&cid, rid))))
+        }
+        Envelope::Corrupt(reason) => {
+            handler.on_corrupt_frame();
+            Response::error("", 400, &reason).to_line()
+        }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(V2_WORKERS_MAX)
 }
 
-/// The v2 pipelined loop. One reader (this thread) decodes frames and
-/// dispatches requests to a small lazy worker pool; one writer thread
-/// batches response frames through a [`crate::buf::SegBuf`]. Requests
-/// with a non-empty cid are re-wrapped as `@mcc1` envelopes before
-/// hitting the handler, so v2 rides the exact dedup/replay machinery
-/// that made v1 exactly-once — the protocols cannot drift.
+/// The v2 burst loop: decode every complete frame a read delivers,
+/// submit each, then collect the outcomes in arrival order and answer
+/// with one write before the next read. Submitting the whole burst
+/// before collecting any outcome is the pipelining — the worker pool
+/// drains the burst's backlog without a round trip per request — and
+/// the connection costs one read and one write syscall per burst, on
+/// this thread alone.
 fn v2_connection(
-    handler: Arc<dyn LineHandler>,
+    handler: &dyn LineHandler,
     mut reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    mut writer: TcpStream,
     client: &str,
     stop: &AtomicBool,
 ) -> io::Result<()> {
-    use crate::proto2::{self, Caps, FrameFault, FrameType};
-    use std::sync::mpsc;
-    use std::sync::{Condvar, Mutex};
-
-    if v2_worker_budget() == 1 {
-        return v2_connection_inline(handler, reader, writer, client, stop);
-    }
-
     handler.on_v2_connection();
     writer.set_write_timeout(handler.idle_timeout()).ok();
 
-    // Writer thread: encodes into a reusable segmented buffer, batching
-    // everything queued at wake-up into one write burst.
-    let compress_on = Arc::new(AtomicBool::new(false));
-    let (wtx, wrx) = mpsc::channel::<(FrameType, String, u64, String)>();
-    let writer_compress = Arc::clone(&compress_on);
-    let writer_handle = std::thread::spawn(move || {
-        let mut w = writer;
-        let mut seg = crate::buf::SegBuf::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        while let Ok(first) = wrx.recv() {
-            let min = writer_compress
-                .load(Ordering::SeqCst)
-                .then_some(proto2::COMPRESS_MIN_BYTES);
-            let encode = |(ftype, cid, rid, body): (FrameType, String, u64, String),
-                              seg: &mut crate::buf::SegBuf,
-                              scratch: &mut Vec<u8>| {
-                crate::buf::shrink_reusable(scratch);
-                proto2::encode_frame(scratch, ftype, &cid, rid, body.trim_end_matches('\n'), min);
-                seg.extend(scratch);
-            };
-            encode(first, &mut seg, &mut scratch);
-            while seg.len() < 256 * 1024 {
-                match wrx.try_recv() {
-                    Ok(next) => encode(next, &mut seg, &mut scratch),
-                    Err(_) => break,
-                }
-            }
-            if seg.write_out(&mut w).is_err() {
-                return; // peer gone; the reader will see EOF/RST.
-            }
-        }
-    });
-
-    // Lazy worker pool: a Mutex-guarded Receiver is the spmc queue.
-    let (work_tx, work_rx) = mpsc::channel::<(String, u64, String)>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let in_flight = Arc::new((Mutex::new(0usize), Condvar::new()));
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let spawn_worker = |workers: &mut Vec<std::thread::JoinHandle<()>>| {
-        let handler = Arc::clone(&handler);
-        let wtx = wtx.clone();
-        let rx = Arc::clone(&work_rx);
-        let gate = Arc::clone(&in_flight);
-        let client = client.to_string();
-        workers.push(std::thread::spawn(move || loop {
-            // Holding the lock across recv serializes the *wait*, not
-            // the work: the winner releases it as soon as an item lands.
-            let item = rx.lock().unwrap().recv();
-            let Ok((cid, rid, body)) = item else { return };
-            let line = if cid.is_empty() {
-                format!("{body}\n")
-            } else {
-                crate::proto::wrap_envelope(&cid, rid, &body)
-            };
-            let resp = handler.handle_wire(&line, &client);
-            let out = match crate::proto::unwrap_envelope(&resp) {
-                crate::proto::Envelope::Enveloped { body, .. } => body,
-                _ => resp.trim_end_matches('\n').to_string(),
-            };
-            let _ = wtx.send((FrameType::Response, cid, rid, out));
-            let (m, cv) = &*gate;
-            *m.lock().unwrap() -= 1;
-            cv.notify_all();
-        }));
+    // A structural fault is answered with one error frame, then closes.
+    let error = |reason: &str| {
+        let line = Response::error("", 400, reason).to_line();
+        (FrameType::Error, String::new(), 0, WireSubmission::Done(line))
     };
-
     let mut caps = Caps { compress: false, window: proto2::DEFAULT_WINDOW };
     let mut acc: Vec<u8> = Vec::new();
-    'conn: loop {
-        // Drain every complete frame already buffered.
+    let mut seg = crate::buf::SegBuf::new();
+    let mut scratch: Vec<u8> = Vec::new();
+    // The frames owed to the peer for this burst, in arrival order.
+    let mut outs: Vec<(FrameType, String, u64, WireSubmission)> = Vec::new();
+    loop {
+        let mut fatal = false;
         loop {
             let bait = acc.iter().take_while(|b| **b == b'\n').count();
-            if bait > 0 {
-                acc.drain(..bait);
-            }
+            acc.drain(..bait);
             let total = match proto2::frame_len(&acc) {
                 Ok(Some(t)) if acc.len() >= t => t,
                 Ok(_) => break, // need more bytes.
@@ -567,28 +433,18 @@ fn v2_connection(
                         FrameFault::Oversized(_) => handler.on_oversized(),
                         FrameFault::Corrupt(_) => handler.on_corrupt_frame(),
                     }
-                    let resp = Response::error("", 400, fault.reason());
-                    let _ = wtx.send((
-                        FrameType::Error,
-                        String::new(),
-                        0,
-                        resp.to_line().trim_end().to_string(),
-                    ));
-                    break 'conn;
+                    outs.push(error(fault.reason()));
+                    fatal = true;
+                    break;
                 }
             };
             let frame = match proto2::decode_frame(&acc) {
                 Ok((f, _)) => f,
                 Err(proto2::DecodeErr::Corrupt(reason)) => {
                     handler.on_corrupt_frame();
-                    let resp = Response::error("", 400, &reason);
-                    let _ = wtx.send((
-                        FrameType::Error,
-                        String::new(),
-                        0,
-                        resp.to_line().trim_end().to_string(),
-                    ));
-                    break 'conn;
+                    outs.push(error(&reason));
+                    fatal = true;
+                    break;
                 }
                 Err(proto2::DecodeErr::Incomplete) => unreachable!("length was checked"),
             };
@@ -601,314 +457,54 @@ fn v2_connection(
                 FrameType::Hello => {
                     if let Some(want) = proto2::parse_hello(&frame.body) {
                         caps = proto2::negotiate(&want);
-                        compress_on.store(caps.compress, Ordering::SeqCst);
                     }
-                    let _ = wtx.send((
-                        FrameType::HelloAck,
-                        String::new(),
-                        0,
-                        proto2::hello_body(&caps),
-                    ));
+                    let ack = WireSubmission::Done(proto2::hello_body(&caps));
+                    outs.push((FrameType::HelloAck, String::new(), 0, ack));
                 }
                 FrameType::Request => {
-                    // Respect the negotiated window: wait for a slot.
-                    {
-                        let (m, cv) = &*in_flight;
-                        let mut n = m.lock().unwrap();
-                        while *n >= caps.window as usize {
-                            // Workers are panic-contained, so a slot
-                            // always frees; the timeout is belt and
-                            // braces against a wedged handler.
-                            let (next, _) = cv
-                                .wait_timeout(n, Duration::from_millis(100))
-                                .unwrap();
-                            n = next;
-                        }
-                        *n += 1;
-                        if workers.len() < (caps.window as usize).min(v2_worker_budget())
-                            && *n > workers.len()
-                        {
-                            spawn_worker(&mut workers);
-                        }
-                    }
-                    // Drain sniff before dispatch, mirroring the v1 loop.
-                    if matches!(
-                        crate::proto::parse_request(&frame.body),
-                        Ok(crate::Request::Drain)
-                    ) {
+                    if is_drain(&frame.body) {
                         stop.store(true, Ordering::SeqCst);
                     }
-                    let _ = work_tx.send((frame.cid, frame.rid, frame.body));
+                    let ident = (!frame.cid.is_empty()).then_some((frame.cid.as_str(), frame.rid));
+                    let sub = handler.submit(&frame.body, ident, client);
+                    outs.push((FrameType::Response, frame.cid, frame.rid, sub));
                 }
                 // A client has no business sending these; close loudly.
                 FrameType::HelloAck | FrameType::Response | FrameType::Error => {
                     handler.on_corrupt_frame();
-                    let resp =
-                        Response::error("", 400, "unexpected frame type from a client");
-                    let _ = wtx.send((
-                        FrameType::Error,
-                        String::new(),
-                        0,
-                        resp.to_line().trim_end().to_string(),
-                    ));
-                    break 'conn;
+                    outs.push(error("unexpected frame type from a client"));
+                    fatal = true;
+                    break;
                 }
             }
         }
+        let min = caps.compress.then_some(proto2::COMPRESS_MIN_BYTES);
+        for (ftype, cid, rid, sub) in outs.drain(..) {
+            crate::buf::shrink_reusable(&mut scratch);
+            let body = sub.wait();
+            proto2::encode_frame(&mut scratch, ftype, &cid, rid, body.trim_end_matches('\n'), min);
+            seg.extend(&scratch);
+        }
+        if (!seg.is_empty() && seg.write_out(&mut writer).is_err()) || fatal {
+            return Ok(());
+        }
         match reader.fill_buf() {
-            Ok([]) => break 'conn, // clean close; a torn tail is dropped.
+            Ok([]) => return Ok(()), // clean close; a torn tail is dropped.
             Ok(chunk) => {
                 let n = chunk.len();
                 acc.extend_from_slice(chunk);
                 reader.consume(n);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Nothing is ever in flight between bursts.
             Err(e)
                 if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
             {
-                let idle = {
-                    let (m, _) = &*in_flight;
-                    *m.lock().unwrap() == 0
-                };
-                if idle {
-                    handler.on_idle_reap();
-                    break 'conn;
-                }
-            }
-            Err(_) => break 'conn,
-        }
-    }
-    // Teardown order matters: close the work queue, let workers flush
-    // their last responses, then close the writer queue and flush it.
-    drop(work_tx);
-    for w in workers {
-        let _ = w.join();
-    }
-    drop(wtx);
-    let _ = writer_handle.join();
-    Ok(())
-}
-
-/// The single-thread v2 loop, selected when [`v2_worker_budget`] is 1:
-/// decode every complete frame in the read burst, handle each inline,
-/// batch the response frames into one segmented buffer, and flush it
-/// with one write before the next read. No worker pool, no writer
-/// thread — on a machine with nothing to parallelize, the whole win of
-/// pipelining is one read and one write syscall per burst instead of
-/// one of each per request. Semantics match the pooled path: same
-/// negotiation, same envelope/dedup routing, same fault handling; only
-/// in-flight overlap (pointless on one core) is absent.
-fn v2_connection_inline(
-    handler: Arc<dyn LineHandler>,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    client: &str,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    use crate::proto2::{self, Caps, FrameFault, FrameType};
-
-    handler.on_v2_connection();
-    writer.set_write_timeout(handler.idle_timeout()).ok();
-
-    /// One frame owed to the peer, in arrival order: either already
-    /// resolved, or an admitted compile whose outcome the supervisor
-    /// still owes. Deferring the collection until the whole read burst
-    /// is admitted is the inline path's pipelining: the worker pool
-    /// drains the burst's backlog without a per-request round trip.
-    enum Out {
-        Ready { ftype: FrameType, cid: String, rid: u64, body: String },
-        Rx { rid: u64, rx: std::sync::mpsc::Receiver<Response> },
-    }
-
-    let mut caps = Caps { compress: false, window: proto2::DEFAULT_WINDOW };
-    let mut acc: Vec<u8> = Vec::new();
-    let mut seg = crate::buf::SegBuf::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut outs: Vec<Out> = Vec::new();
-    let mut fatal = false;
-    'conn: loop {
-        let push = |ftype: FrameType, cid: &str, rid: u64, body: &str,
-                        seg: &mut crate::buf::SegBuf,
-                        scratch: &mut Vec<u8>,
-                        caps: &Caps| {
-            crate::buf::shrink_reusable(scratch);
-            let min = caps.compress.then_some(proto2::COMPRESS_MIN_BYTES);
-            proto2::encode_frame(scratch, ftype, cid, rid, body.trim_end_matches('\n'), min);
-            seg.extend(scratch);
-        };
-        // Drain every complete frame already buffered.
-        loop {
-            let bait = acc.iter().take_while(|b| **b == b'\n').count();
-            if bait > 0 {
-                acc.drain(..bait);
-            }
-            let total = match proto2::frame_len(&acc) {
-                Ok(Some(t)) if acc.len() >= t => t,
-                Ok(_) => break, // need more bytes.
-                Err(fault) => {
-                    match &fault {
-                        FrameFault::Oversized(_) => handler.on_oversized(),
-                        FrameFault::Corrupt(_) => handler.on_corrupt_frame(),
-                    }
-                    let resp = Response::error("", 400, fault.reason());
-                    outs.push(Out::Ready {
-                        ftype: FrameType::Error,
-                        cid: String::new(),
-                        rid: 0,
-                        body: resp.to_line().trim_end().to_string(),
-                    });
-                    fatal = true;
-                    break;
-                }
-            };
-            let frame = match proto2::decode_frame(&acc) {
-                Ok((f, _)) => f,
-                Err(proto2::DecodeErr::Corrupt(reason)) => {
-                    handler.on_corrupt_frame();
-                    let resp = Response::error("", 400, &reason);
-                    outs.push(Out::Ready {
-                        ftype: FrameType::Error,
-                        cid: String::new(),
-                        rid: 0,
-                        body: resp.to_line().trim_end().to_string(),
-                    });
-                    fatal = true;
-                    break;
-                }
-                Err(proto2::DecodeErr::Incomplete) => unreachable!("length was checked"),
-            };
-            acc.drain(..total);
-            handler.on_v2_frame();
-            match frame.ftype {
-                FrameType::Hello => {
-                    if let Some(want) = proto2::parse_hello(&frame.body) {
-                        caps = proto2::negotiate(&want);
-                    }
-                    outs.push(Out::Ready {
-                        ftype: FrameType::HelloAck,
-                        cid: String::new(),
-                        rid: 0,
-                        body: proto2::hello_body(&caps),
-                    });
-                }
-                FrameType::Request => {
-                    // Drain sniff before dispatch, mirroring the v1 loop.
-                    if matches!(
-                        crate::proto::parse_request(&frame.body),
-                        Ok(crate::Request::Drain)
-                    ) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    if frame.cid.is_empty() {
-                        match handler.submit_wire(&format!("{}\n", frame.body), client) {
-                            WireSubmission::Done(resp) => outs.push(Out::Ready {
-                                ftype: FrameType::Response,
-                                cid: String::new(),
-                                rid: frame.rid,
-                                body: resp.trim_end_matches('\n').to_string(),
-                            }),
-                            WireSubmission::Pending(rx) => {
-                                outs.push(Out::Rx { rid: frame.rid, rx });
-                            }
-                        }
-                    } else {
-                        // An enveloped frame resolves through the
-                        // idempotency layer, which is a blocking path.
-                        let line =
-                            crate::proto::wrap_envelope(&frame.cid, frame.rid, &frame.body);
-                        let resp = handler.handle_wire(&line, client);
-                        let out = match crate::proto::unwrap_envelope(&resp) {
-                            crate::proto::Envelope::Enveloped { body, .. } => body,
-                            _ => resp.trim_end_matches('\n').to_string(),
-                        };
-                        outs.push(Out::Ready {
-                            ftype: FrameType::Response,
-                            cid: frame.cid,
-                            rid: frame.rid,
-                            body: out,
-                        });
-                    }
-                }
-                // A client has no business sending these; close loudly.
-                FrameType::HelloAck | FrameType::Response | FrameType::Error => {
-                    handler.on_corrupt_frame();
-                    let resp = Response::error("", 400, "unexpected frame type from a client");
-                    outs.push(Out::Ready {
-                        ftype: FrameType::Error,
-                        cid: String::new(),
-                        rid: 0,
-                        body: resp.to_line().trim_end().to_string(),
-                    });
-                    fatal = true;
-                    break;
-                }
-            }
-        }
-        // The whole burst is admitted; now collect outcomes in arrival
-        // order and answer with one write burst per read burst.
-        for out in outs.drain(..) {
-            match out {
-                Out::Ready { ftype, cid, rid, body } => {
-                    push(ftype, &cid, rid, &body, &mut seg, &mut scratch, &caps);
-                }
-                Out::Rx { rid, rx } => {
-                    // The supervisor guarantees exactly one send per
-                    // admitted request; mirror `handle_line`'s fallback.
-                    let r = rx
-                        .recv()
-                        .unwrap_or_else(|_| Response::error("", 500, "response channel lost"));
-                    push(
-                        FrameType::Response,
-                        "",
-                        rid,
-                        r.to_line().trim_end(),
-                        &mut seg,
-                        &mut scratch,
-                        &caps,
-                    );
-                }
-            }
-        }
-        if !seg.is_empty() && seg.write_out(&mut writer).is_err() {
-            break 'conn;
-        }
-        if fatal {
-            break 'conn;
-        }
-        match reader.fill_buf() {
-            Ok([]) => break 'conn, // clean close; a torn tail is dropped.
-            Ok(chunk) => {
-                let n = chunk.len();
-                acc.extend_from_slice(chunk);
-                reader.consume(n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                // Serial handling means nothing is ever in flight here.
                 handler.on_idle_reap();
-                break 'conn;
+                return Ok(());
             }
-            Err(_) => break 'conn,
+            Err(_) => return Ok(()),
         }
-    }
-    Ok(())
-}
-
-/// Handles one frame with panic containment: a panic anywhere in the
-/// request path becomes a structured `500`, never a dead connection.
-pub fn handle_contained(server: &Server, line: &str, client: &str) -> Response {
-    match catch_unwind(AssertUnwindSafe(|| server.handle_line(line, client))) {
-        Ok(r) => r,
-        Err(p) => Response::error(
-            &crate::proto::frame_id(line),
-            500,
-            &format!(
-                "panic contained in request loop: {}",
-                mcc_harness::pool::panic_text(p.as_ref())
-            ),
-        ),
     }
 }
 
@@ -926,7 +522,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let s2 = Arc::clone(&server);
         let stop2 = Arc::clone(&stop);
-        std::thread::spawn(move || serve(s2, listener, stop2).unwrap());
+        std::thread::spawn(move || serve_lines(s2, listener, stop2).unwrap());
         (server, addr, stop)
     }
 
@@ -1018,15 +614,15 @@ mod tests {
             pos: 0,
             interrupt_next: true,
         });
-        match read_frame(&mut r, 1024).unwrap() {
-            FrameRead::Frame(f) => assert_eq!(f, "{\"op\":\"ping\"}\n"),
-            other => panic!("wrong read: {other:?}"),
+        let mut buf = Vec::new();
+        for want in ["{\"op\":\"ping\"}\n", "{\"op\":\"stats\"}\n"] {
+            match read_frame_buf(&mut r, &mut buf, 1024).unwrap() {
+                FrameBufRead::Frame => assert_eq!(buf, want.as_bytes()),
+                other => panic!("wrong read: {other:?}"),
+            }
+            buf.clear();
         }
-        match read_frame(&mut r, 1024).unwrap() {
-            FrameRead::Frame(f) => assert_eq!(f, "{\"op\":\"stats\"}\n"),
-            other => panic!("wrong read: {other:?}"),
-        }
-        assert!(matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Eof));
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 1024).unwrap(), FrameBufRead::Eof));
     }
 
     #[test]
@@ -1034,14 +630,21 @@ mod tests {
         let mut data = vec![b'a'; 100];
         data.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
         let mut r = BufReader::new(io::Cursor::new(data));
-        assert!(matches!(read_frame(&mut r, 64).unwrap(), FrameRead::Oversized));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_frame_buf(&mut r, &mut buf, 64).unwrap(),
+            FrameBufRead::Oversized
+        ));
+        assert!(buf.is_empty(), "the oversized prefix is not kept");
     }
 
     #[test]
     fn read_frame_discards_torn_trailing_frame() {
         let mut r = BufReader::new(io::Cursor::new(b"{\"op\":\"ping\"}\n{\"op\":\"st".to_vec()));
-        assert!(matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Frame(_)));
-        assert!(matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Eof));
+        let mut buf = Vec::new();
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 1024).unwrap(), FrameBufRead::Frame));
+        buf.clear();
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 1024).unwrap(), FrameBufRead::Eof));
     }
 
     #[test]
@@ -1303,6 +906,54 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         drop(w);
         drop(r);
+        if let Ok(s) = Arc::try_unwrap(server) {
+            s.shutdown();
+        }
+    }
+
+    #[test]
+    fn one_key_executes_once_across_dialects() {
+        use crate::proto2::{Caps, Client, Handshake};
+        let (server, addr, stop) = start_tcp(ServeConfig::default());
+        // Each call on a fresh connection, as a reconnecting client would.
+        let v2_call = |rid: u64, body: &str| {
+            let stream = TcpStream::connect(addr).unwrap();
+            let want = Caps { compress: false, window: 4 };
+            match Client::handshake(stream, Some(Duration::from_secs(10)), &want).unwrap() {
+                Handshake::V2(mut c) => c.call("xd", rid, body).unwrap(),
+                Handshake::V1Peer => panic!("v2 expected"),
+            }
+        };
+        let v1_call = |line: &str| {
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut w = stream.try_clone().unwrap();
+            w.write_all(line.as_bytes()).unwrap();
+            let mut resp = String::new();
+            BufReader::new(stream).read_line(&mut resp).unwrap();
+            resp
+        };
+        let counts = || {
+            let stats = v1_call("{\"op\":\"stats\"}\n");
+            (
+                Response::field_num(&stats, "accepted"),
+                Response::field_num(&stats, "replayed"),
+            )
+        };
+        let body = |n: u64| {
+            proto::compile_line(&format!("x{n}"), "hm1", "yalll", &format!("; x{n}\nreg a = R0\nexit a\n"))
+        };
+        // v2 first, then the same key as a v1 envelope.
+        let v2_first = v2_call(1, &body(1));
+        let v1_replay = v1_call(&proto::wrap_envelope("xd", 1, &body(1)));
+        assert_eq!(Response::field_num(&v2_first, "code"), Some(200), "{v2_first}");
+        assert_eq!(v1_replay, proto::wrap_envelope("xd", 1, &v2_first));
+        assert_eq!(counts(), (Some(1), Some(1)));
+        // v1 first, then the same key as a v2 frame.
+        let v1_first = v1_call(&proto::wrap_envelope("xd", 2, &body(2)));
+        let v2_replay = v2_call(2, &body(2));
+        assert_eq!(v1_first, proto::wrap_envelope("xd", 2, &v2_replay));
+        assert_eq!(counts(), (Some(2), Some(2)));
+        stop.store(true, Ordering::SeqCst);
         if let Ok(s) = Arc::try_unwrap(server) {
             s.shutdown();
         }

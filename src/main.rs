@@ -774,7 +774,7 @@ fn serve_command(args: &Args) -> Result<(), String> {
         "mcc serve: listening on {addr} ({workers} workers, queue bound {bound}); \
          stop with SIGTERM/SIGINT or a drain frame"
     );
-    mcc::serve::tcp::serve(Arc::clone(&server), listener, stop).map_err(|e| e.to_string())?;
+    mcc::serve::tcp::serve_lines(server.clone(), listener, stop).map_err(|e| e.to_string())?;
     let in_flight = server.drain();
     eprintln!("mcc serve: drained ({in_flight} requests were in flight); cache journal flushed");
     Ok(())
