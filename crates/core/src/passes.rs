@@ -214,16 +214,9 @@ type Taint = BTreeSet<RegRef>;
 /// visited in layout order with taints joined), which is sound for the
 /// structured CFGs the frontends emit.
 pub fn trap_safety(m: &MachineDesc, f: &MirFunction) -> Vec<Warning> {
+    // Registers written so far. Any other register still holds its entry
+    // value: a macro-visible one depends on itself, the rest on nothing.
     let mut taint: BTreeMap<RegRef, Taint> = BTreeMap::new();
-    // Entry: every macro-visible register depends on itself.
-    for (fi, file) in m.files.iter().enumerate() {
-        if file.macro_visible {
-            for i in 0..file.count {
-                let r = RegRef::new(mcc_machine::ids::FileId(fi as u16), i);
-                taint.insert(r, BTreeSet::from([r]));
-            }
-        }
-    }
 
     let mut warnings = Vec::new();
     let mut pending: Vec<(RegRef, String)> = Vec::new();
@@ -250,8 +243,12 @@ pub fn trap_safety(m: &MachineDesc, f: &MirFunction) -> Vec<Warning> {
             let mut src_taint: Taint = BTreeSet::new();
             for s in &op.srcs {
                 if let Operand::Reg(r) = s {
-                    if let Some(t) = taint.get(r) {
-                        src_taint.extend(t.iter().copied());
+                    match taint.get(r) {
+                        Some(t) => src_taint.extend(t.iter().copied()),
+                        None if is_macro_visible(m, *r) => {
+                            src_taint.insert(*r);
+                        }
+                        None => {}
                     }
                 }
             }

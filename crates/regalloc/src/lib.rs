@@ -21,8 +21,15 @@
 //! The allocator rewrites the [`MirFunction`] in place: afterwards no
 //! virtual registers remain and every operand satisfies some template's
 //! class constraints.
+//!
+//! Data structures: registers are numbered densely, file-major, so every
+//! register set (candidates, taken, free) is a fixed-width bit mask whose
+//! ascending order is the `(file, index)` order ties are broken in.
+//! Everything indexed by vreg is a plain `Vec`; interference stays sparse
+//! (a sorted neighbour list per vreg, no dense vreg×vreg matrix), so memory
+//! is linear in the function plus its interferences.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use mcc_machine::{MachineDesc, RegRef, Semantic};
 use mcc_mir::liveness::Liveness;
@@ -30,9 +37,11 @@ use mcc_mir::operand::{Operand, VReg};
 use mcc_mir::MirFunction;
 
 mod constraints;
+mod mask;
 mod spill;
 
-pub use constraints::allowed_registers;
+use constraints::Constraints;
+use mask::{MaskTable, RegSpace};
 
 /// Allocation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,102 +127,167 @@ impl std::error::Error for AllocError {}
 /// Base address of the in-memory spill overflow area.
 pub const MEM_SPILL_BASE: u64 = 0xFF00;
 
-fn all_vregs(f: &MirFunction) -> BTreeSet<VReg> {
-    let mut vs = BTreeSet::new();
+/// The vregs of `f` in ascending id order, and one past the largest id
+/// (the length of every vreg-indexed table of a round).
+fn vreg_ids(f: &MirFunction) -> (Vec<u32>, usize) {
+    let mut present = vec![false; f.vreg_count as usize];
+    let mut mark = |o: Operand| {
+        if let Operand::Vreg(v) = o {
+            let i = v.0 as usize;
+            if i >= present.len() {
+                present.resize(i + 1, false);
+            }
+            present[i] = true;
+        }
+    };
     for b in &f.blocks {
         for op in &b.ops {
-            if let Some(Operand::Vreg(v)) = op.dst {
-                vs.insert(v);
-            }
-            for s in &op.srcs {
-                if let Operand::Vreg(v) = s {
-                    vs.insert(*v);
-                }
-            }
+            op.dst
+                .into_iter()
+                .chain(op.srcs.iter().copied())
+                .for_each(&mut mark);
         }
         if let Some(t) = &b.term {
-            for u in t.uses() {
-                if let Operand::Vreg(v) = u {
-                    vs.insert(v);
-                }
-            }
+            t.uses().into_iter().for_each(&mut mark);
         }
     }
-    for o in &f.live_out {
-        if let Operand::Vreg(v) = o {
-            vs.insert(*v);
-        }
-    }
-    vs
+    f.live_out.iter().copied().for_each(&mut mark);
+    let ids = (0..present.len() as u32)
+        .filter(|&v| present[v as usize])
+        .collect();
+    (ids, present.len())
 }
 
-/// Interference data: vreg↔vreg edges plus vreg↔physical conflicts.
-#[derive(Debug, Default)]
+/// A set of vreg ids with O(1) insert, remove and clear, iterable in
+/// insertion-dependent order (callers only need membership and a walk).
+struct SparseSet {
+    pos: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl SparseSet {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(n: usize) -> Self {
+        SparseSet {
+            pos: vec![Self::ABSENT; n],
+            items: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, v: u32) {
+        if self.pos[v as usize] == Self::ABSENT {
+            self.pos[v as usize] = self.items.len() as u32;
+            self.items.push(v);
+        }
+    }
+
+    fn remove(&mut self, v: u32) {
+        let p = self.pos[v as usize];
+        if p != Self::ABSENT {
+            let last = self.items.pop().expect("member");
+            if last != v {
+                self.items[p as usize] = last;
+                self.pos[last as usize] = p;
+            }
+            self.pos[v as usize] = Self::ABSENT;
+        }
+    }
+
+    fn clear(&mut self) {
+        for &v in &self.items {
+            self.pos[v as usize] = Self::ABSENT;
+        }
+        self.items.clear();
+    }
+}
+
+/// Interference data, indexed by vreg id: vreg↔vreg edges plus
+/// vreg↔physical conflicts (dense register indices), each a sorted list.
+/// Adjacency stays sparse: a dense V×V matrix would be quadratic in the
+/// function size.
 struct Interference {
-    edges: BTreeMap<VReg, BTreeSet<VReg>>,
-    phys: BTreeMap<VReg, BTreeSet<RegRef>>,
+    edges: Vec<Vec<u32>>,
+    phys: Vec<Vec<u32>>,
     /// Static use counts (spill priority: spill the least used).
-    uses: BTreeMap<VReg, usize>,
+    uses: Vec<usize>,
 }
 
 impl Interference {
-    fn add_edge(&mut self, a: VReg, b: VReg) {
-        if a != b {
-            self.edges.entry(a).or_default().insert(b);
-            self.edges.entry(b).or_default().insert(a);
-        }
+    fn degree(&self, v: usize) -> usize {
+        self.edges[v].len() + self.phys[v].len()
     }
 
-    fn add_phys(&mut self, v: VReg, r: RegRef) {
-        self.phys.entry(v).or_default().insert(r);
-    }
-
-    fn degree(&self, v: VReg) -> usize {
-        self.edges.get(&v).map_or(0, |s| s.len())
-            + self.phys.get(&v).map_or(0, |s| s.len())
-    }
-}
-
-fn build_interference(f: &MirFunction, live: &Liveness) -> Interference {
-    let mut g = Interference::default();
-    for v in all_vregs(f) {
-        g.edges.entry(v).or_default();
-        g.uses.entry(v).or_default();
-    }
-    for (bi, b) in f.blocks.iter().enumerate() {
-        let (_, after) = live.block_points(f, bi as u32);
-        for (oi, op) in b.ops.iter().enumerate() {
-            for s in &op.srcs {
-                if let Operand::Vreg(v) = s {
-                    *g.uses.entry(*v).or_default() += 1;
+    /// One backward walk per block: the definition of each op interferes
+    /// with everything live after it, except the source of a move (the
+    /// move-coalescing exception).
+    fn build(f: &MirFunction, live: &Liveness, space: &RegSpace, nvregs: usize) -> Self {
+        let mut edges = vec![Vec::new(); nvregs];
+        let mut phys = vec![Vec::new(); nvregs];
+        let mut uses = vec![0; nvregs];
+        let mut live_v = SparseSet::new(nvregs);
+        let mut live_p = vec![0u64; space.words];
+        for (bi, b) in f.blocks.iter().enumerate() {
+            live_v.clear();
+            live_p.fill(0);
+            let add = |o: Operand, live_v: &mut SparseSet, live_p: &mut [u64]| match o {
+                Operand::Vreg(v) => live_v.insert(v.0),
+                Operand::Reg(r) => mask::set(live_p, space.index(r)),
+            };
+            let term_uses = b.term.iter().flat_map(|t| t.uses());
+            for o in live.sets().live_out[bi].iter().copied().chain(term_uses) {
+                add(o, &mut live_v, &mut live_p);
+            }
+            for op in b.ops.iter().rev() {
+                if let Some(d) = op.def() {
+                    let move_src = if op.sem == Semantic::Move {
+                        op.srcs.first().copied()
+                    } else {
+                        None
+                    };
+                    let skip_v = |v: u32| move_src == Some(Operand::Vreg(VReg(v)));
+                    match d {
+                        Operand::Vreg(a) => {
+                            let a = a.0;
+                            uses[a as usize] += 1;
+                            for &v in &live_v.items {
+                                if v != a && !skip_v(v) {
+                                    edges[a as usize].push(v);
+                                    edges[v as usize].push(a);
+                                }
+                            }
+                            for r in mask::ones(&live_p) {
+                                if move_src != Some(Operand::Reg(space.reg(r))) {
+                                    phys[a as usize].push(r as u32);
+                                }
+                            }
+                            live_v.remove(a);
+                        }
+                        Operand::Reg(r) => {
+                            let ri = space.index(r);
+                            for &v in &live_v.items {
+                                if !skip_v(v) {
+                                    phys[v as usize].push(ri as u32);
+                                }
+                            }
+                            live_p[ri / 64] &= !(1 << (ri % 64));
+                        }
+                    }
+                }
+                for &s in &op.srcs {
+                    if let Operand::Vreg(v) = s {
+                        uses[v.0 as usize] += 1;
+                    }
+                    add(s, &mut live_v, &mut live_p);
                 }
             }
-            if let Some(d) = op.def() {
-                if let Operand::Vreg(v) = d {
-                    *g.uses.entry(v).or_default() += 1;
-                }
-                // The move-coalescing exception: `mov d, s` does not make
-                // d interfere with s.
-                let move_src = if op.sem == Semantic::Move {
-                    op.srcs.first().copied()
-                } else {
-                    None
-                };
-                for l in &after[oi] {
-                    if Some(*l) == move_src {
-                        continue;
-                    }
-                    match (d, *l) {
-                        (Operand::Vreg(a), Operand::Vreg(b)) => g.add_edge(a, b),
-                        (Operand::Vreg(a), Operand::Reg(r)) => g.add_phys(a, r),
-                        (Operand::Reg(r), Operand::Vreg(b)) => g.add_phys(b, r),
-                        (Operand::Reg(_), Operand::Reg(_)) => {}
-                    }
-                }
-            }
         }
+        for list in edges.iter_mut().chain(&mut phys) {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Interference { edges, phys, uses }
     }
-    g
 }
 
 /// Runs register allocation on `f` for machine `m`, rewriting it in place.
@@ -233,47 +307,57 @@ pub fn allocate(
         spill_moves: 0,
         rounds: 0,
     };
-    let originals: BTreeSet<VReg> = all_vregs(f);
-    let mut spiller = spill::Spiller::new(m);
+    let (originals, _) = vreg_ids(f);
+    if originals.is_empty() {
+        // Every operand is already a machine register.
+        report.rounds = 1;
+        return Ok(report);
+    }
+    let is_original = |v: u32| originals.binary_search(&v).is_ok();
+    let space = RegSpace::new(m);
+    let mut constraints = Constraints::new(m, &space, opts.budget);
+    let mut spiller = None;
     // Temporaries created by spill rewriting: spilling them again cannot
     // reduce register pressure (their live ranges are already minimal),
     // and choosing them makes the loop churn forever.
-    let mut no_spill: BTreeSet<VReg> = BTreeSet::new();
+    let mut no_spill: Vec<bool> = Vec::new();
+    let spillable = |no_spill: &[bool], v: u32| !no_spill.get(v as usize).copied().unwrap_or(false);
 
     for _round in 0..64 {
         report.rounds += 1;
-        let vregs = all_vregs(f);
-        if vregs.is_empty() {
+        let (nodes, nvregs) = vreg_ids(f);
+        if nodes.is_empty() {
             finalize(f, &report.locations);
             return Ok(report);
         }
-        let cand: BTreeMap<VReg, Vec<RegRef>> = vregs
-            .iter()
-            .map(|&v| {
-                let c = constraints::allowed_registers(m, f, v, opts.budget);
-                (v, c)
-            })
-            .collect();
-        if let Some((&v, _)) = cand.iter().find(|(_, c)| c.is_empty()) {
-            return Err(AllocError::NoCandidates(v));
+        let cand = constraints.candidates(f, &nodes, nvregs);
+        let mut counts = vec![0; nvregs];
+        for &v in &nodes {
+            counts[v as usize] = mask::count(cand.row(v as usize));
+            if counts[v as usize] == 0 {
+                return Err(AllocError::NoCandidates(VReg(v)));
+            }
         }
 
         let live = Liveness::compute(f);
-        let graph = build_interference(f, &live);
+        let graph = Interference::build(f, &live, &space, nvregs);
+        let mut picker = Picker::new(&space, opts.spread);
 
         let assign = match opts.strategy {
-            Strategy::Coloring => color(&graph, &cand, opts.spread),
-            Strategy::LinearScan => linear_scan(f, &live, &graph, &cand, opts.spread),
+            Strategy::Coloring => color(&graph, &nodes, &cand, &counts, &mut picker),
+            Strategy::LinearScan => linear_scan(f, &live, &graph, &cand, &mut picker),
         };
 
         match assign {
-            Ok(map) => {
-                for (v, r) in &map {
-                    if originals.contains(v) {
-                        report.locations.insert(*v, Location::Reg(*r));
+            Ok(colors) => {
+                for &v in &nodes {
+                    if let (Some(r), true) = (colors[v as usize], is_original(v)) {
+                        report
+                            .locations
+                            .insert(VReg(v), Location::Reg(space.reg(r)));
                     }
                 }
-                rewrite(f, &map);
+                rewrite(f, &colors, &space);
                 finalize(f, &report.locations);
                 return Ok(report);
             }
@@ -281,33 +365,29 @@ pub fn allocate(
                 // Pick the victim: the failed node itself when it is a
                 // real variable; otherwise (a spill temporary) the
                 // highest-degree spillable variable still in play.
-                let victim = if no_spill.contains(&failed) {
-                    cand.keys()
-                        .copied()
-                        .filter(|v| !no_spill.contains(v))
-                        .max_by_key(|&v| (graph.degree(v), std::cmp::Reverse(v.0)))
-                        .ok_or(AllocError::OutOfRegisters(failed))?
-                } else {
+                let victim = if spillable(&no_spill, failed) {
                     failed
+                } else {
+                    nodes
+                        .iter()
+                        .copied()
+                        .filter(|&v| spillable(&no_spill, v))
+                        .max_by_key(|&v| (graph.degree(v as usize), std::cmp::Reverse(v)))
+                        .ok_or(AllocError::OutOfRegisters(VReg(failed)))?
                 };
+                let victim = VReg(victim);
+                let spiller = spiller.get_or_insert_with(|| spill::Spiller::new(m));
                 let loc = spiller
                     .next_slot()
                     .ok_or(AllocError::OutOfRegisters(victim))?;
-                if originals.contains(&victim) {
+                if is_original(victim.0) {
                     report.locations.insert(victim, loc_of(&loc));
                 }
                 report.spilled += 1;
-                if std::env::var_os("MCC_ALLOC_DEBUG").is_some() {
-                    eprintln!(
-                        "round {}: failed {failed}, spilling {victim} to {loc:?}",
-                        report.rounds
-                    );
-                }
-                let before = f.vreg_count;
+                let before = f.vreg_count as usize;
                 report.spill_moves += spiller.rewrite(f, victim, &loc);
-                for v in before..f.vreg_count {
-                    no_spill.insert(VReg(v));
-                }
+                no_spill.resize(f.vreg_count as usize, false);
+                no_spill[before..].fill(true);
             }
         }
     }
@@ -321,93 +401,119 @@ fn loc_of(s: &spill::Slot) -> Location {
     }
 }
 
-/// Chaitin-style coloring. Returns `Err(vreg)` naming a spill candidate
-/// when coloring fails.
-fn color(
-    g: &Interference,
-    cand: &BTreeMap<VReg, Vec<RegRef>>,
+/// Register choice among the candidates not taken. Dense mode takes the
+/// lowest free register. Spread mode takes the lowest free register never
+/// assigned so far, else the free register assigned longest ago: the
+/// least-recently-used order that avoids serial reuse.
+struct Picker {
     spread: bool,
-) -> Result<BTreeMap<VReg, RegRef>, VReg> {
-    let mut stack = Vec::new();
-    let mut removed: BTreeSet<VReg> = BTreeSet::new();
-    let nodes: Vec<VReg> = cand.keys().copied().collect();
+    /// Tick of each register's last assignment (0 = never).
+    last_used: Vec<usize>,
+    /// Registers assigned at least once.
+    used: Vec<u64>,
+    tick: usize,
+    free: Vec<u64>,
+}
 
-    // Simplify: repeatedly remove a node whose candidate count exceeds its
-    // remaining degree (guaranteed colorable).
-    loop {
-        let mut progressed = false;
-        for &v in &nodes {
-            if removed.contains(&v) {
-                continue;
-            }
-            let deg = g
-                .edges
-                .get(&v)
-                .map_or(0, |s| s.iter().filter(|n| !removed.contains(n)).count())
-                + g.phys.get(&v).map_or(0, |s| s.len());
-            if cand[&v].len() > deg {
-                stack.push(v);
-                removed.insert(v);
-                progressed = true;
-            }
-        }
-        if nodes.iter().all(|v| removed.contains(v)) {
-            break;
-        }
-        if !progressed {
-            // Optimistically push the cheapest node; if it fails to color
-            // below, it becomes the spill.
-            let v = nodes
-                .iter()
-                .filter(|v| !removed.contains(v))
-                .min_by_key(|&&v| {
-                    let uses = g.uses.get(&v).copied().unwrap_or(0);
-                    let deg = g.degree(v).max(1);
-                    // Low use / high degree → spill first. Scale to avoid
-                    // float ordering.
-                    (uses * 1000 / deg, v.0)
-                })
-                .copied()
-                .expect("nonempty");
-            stack.push(v);
-            removed.insert(v);
+impl Picker {
+    fn new(space: &RegSpace, spread: bool) -> Self {
+        Picker {
+            spread,
+            last_used: vec![0; space.len()],
+            used: vec![0; space.words],
+            tick: 0,
+            free: vec![0; space.words],
         }
     }
 
-    // Select: pop and color.
-    let mut colors: BTreeMap<VReg, RegRef> = BTreeMap::new();
-    let mut last_used: HashMap<RegRef, usize> = HashMap::new();
-    let mut tick = 0usize;
-    while let Some(v) = stack.pop() {
-        let mut taken: BTreeSet<RegRef> = g.phys.get(&v).cloned().unwrap_or_default();
-        if let Some(ns) = g.edges.get(&v) {
-            for n in ns {
-                if let Some(&c) = colors.get(n) {
-                    taken.insert(c);
-                }
-            }
+    fn pick(&mut self, cand: &[u64], taken: &[u64]) -> Option<usize> {
+        for ((f, c), t) in self.free.iter_mut().zip(cand).zip(taken) {
+            *f = c & !t;
         }
-        let free: Vec<RegRef> = cand[&v]
-            .iter()
-            .copied()
-            .filter(|r| !taken.contains(r))
-            .collect();
-        let pick = if spread {
-            // Least-recently-assigned candidate: avoids serial reuse.
-            free.iter()
-                .copied()
-                .min_by_key(|r| (last_used.get(r).copied().unwrap_or(0), r.file.0, r.index))
-        } else {
-            free.first().copied()
+        let (free, used) = (&self.free, &self.used);
+        let fresh = |w: usize| {
+            if self.spread {
+                free[w] & !used[w]
+            } else {
+                free[w]
+            }
         };
-        match pick {
-            Some(r) => {
-                tick += 1;
-                last_used.insert(r, tick);
-                colors.insert(v, r);
-            }
-            None => return Err(v),
+        let r = (0..free.len())
+            .find(|&w| fresh(w) != 0)
+            .map(|w| w * 64 + fresh(w).trailing_zeros() as usize)
+            .or_else(|| mask::ones(free).min_by_key(|&r| self.last_used[r]))?;
+        self.tick += 1;
+        self.last_used[r] = self.tick;
+        mask::set(&mut self.used, r);
+        Some(r)
+    }
+}
+
+/// Chaitin's simplify: the order to color `nodes` in, last first.
+fn simplify(g: &Interference, nodes: &[u32], counts: &[usize]) -> Vec<usize> {
+    let mut removed = vec![false; counts.len()];
+    let mut degree: Vec<usize> = (0..counts.len()).map(|v| g.degree(v)).collect();
+    let mut stack = Vec::with_capacity(nodes.len());
+    let remove = |v: usize, removed: &mut [bool], degree: &mut [usize], stack: &mut Vec<usize>| {
+        stack.push(v);
+        removed[v] = true;
+        for &nb in &g.edges[v] {
+            degree[nb as usize] -= 1;
         }
+    };
+    loop {
+        // Sweep in ascending order, removing every node whose candidate
+        // count exceeds its remaining degree (guaranteed colorable).
+        let mut progressed = false;
+        for &v in nodes {
+            let v = v as usize;
+            if !removed[v] && counts[v] > degree[v] {
+                remove(v, &mut removed, &mut degree, &mut stack);
+                progressed = true;
+            }
+        }
+        if stack.len() == nodes.len() {
+            return stack;
+        }
+        if !progressed {
+            // Optimistically push the cheapest node; if it fails to color
+            // below, it becomes the spill. Low use / high degree → spill
+            // first, scaled to avoid float ordering.
+            let v = nodes
+                .iter()
+                .map(|&v| v as usize)
+                .filter(|&v| !removed[v])
+                .min_by_key(|&v| (g.uses[v] * 1000 / g.degree(v).max(1), v))
+                .expect("nodes remain");
+            remove(v, &mut removed, &mut degree, &mut stack);
+        }
+    }
+}
+
+/// Chaitin-style coloring. Returns each vreg's dense register index, or
+/// `Err(vreg)` naming a spill candidate when coloring fails.
+fn color(
+    g: &Interference,
+    nodes: &[u32],
+    cand: &MaskTable,
+    counts: &[usize],
+    picker: &mut Picker,
+) -> Result<Vec<Option<usize>>, u32> {
+    let mut stack = simplify(g, nodes, counts);
+    // Select: pop and color.
+    let mut colors = vec![None; counts.len()];
+    let mut taken = vec![0u64; cand.words()];
+    while let Some(v) = stack.pop() {
+        taken.fill(0);
+        for &r in &g.phys[v] {
+            mask::set(&mut taken, r as usize);
+        }
+        for &nb in &g.edges[v] {
+            if let Some(c) = colors[nb as usize] {
+                mask::set(&mut taken, c);
+            }
+        }
+        colors[v] = Some(picker.pick(cand.row(v), &taken).ok_or(v as u32)?);
     }
     Ok(colors)
 }
@@ -417,82 +523,61 @@ fn linear_scan(
     f: &MirFunction,
     live: &Liveness,
     g: &Interference,
-    cand: &BTreeMap<VReg, Vec<RegRef>>,
-    spread: bool,
-) -> Result<BTreeMap<VReg, RegRef>, VReg> {
+    cand: &MaskTable,
+    picker: &mut Picker,
+) -> Result<Vec<Option<usize>>, u32> {
+    let n = g.uses.len();
     // Linear positions: block order, op order; block boundaries count.
-    let mut pos = 0usize;
-    let mut intervals: BTreeMap<VReg, (usize, usize)> = BTreeMap::new();
-    let touch = |v: VReg, p: usize, iv: &mut BTreeMap<VReg, (usize, usize)>| {
-        let e = iv.entry(v).or_insert((p, p));
-        e.0 = e.0.min(p);
-        e.1 = e.1.max(p);
+    let mut intervals: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut touch = |o: Operand, p: usize| {
+        if let Operand::Vreg(v) = o {
+            let e = intervals[v.0 as usize].get_or_insert((p, p));
+            e.0 = e.0.min(p);
+            e.1 = e.1.max(p);
+        }
     };
+    let mut pos = 0usize;
     for (bi, b) in f.blocks.iter().enumerate() {
         let start = pos;
         for op in &b.ops {
             pos += 1;
-            if let Some(Operand::Vreg(v)) = op.dst {
-                touch(v, pos, &mut intervals);
-            }
-            for s in &op.srcs {
-                if let Operand::Vreg(v) = s {
-                    touch(*v, pos, &mut intervals);
-                }
-            }
+            op.dst
+                .into_iter()
+                .chain(op.srcs.iter().copied())
+                .for_each(|o| touch(o, pos));
         }
         pos += 1; // terminator position
         if let Some(t) = &b.term {
-            for u in t.uses() {
-                if let Operand::Vreg(v) = u {
-                    touch(v, pos, &mut intervals);
-                }
-            }
+            t.uses().into_iter().for_each(|o| touch(o, pos));
         }
         // Live-through extension.
-        for o in &live.sets().live_in[bi] {
-            if let Operand::Vreg(v) = o {
-                touch(*v, start, &mut intervals);
-            }
+        for &o in &live.sets().live_in[bi] {
+            touch(o, start);
         }
-        for o in &live.sets().live_out[bi] {
-            if let Operand::Vreg(v) = o {
-                touch(*v, pos, &mut intervals);
-            }
+        for &o in &live.sets().live_out[bi] {
+            touch(o, pos);
         }
     }
 
-    let mut order: Vec<VReg> = intervals.keys().copied().collect();
-    order.sort_by_key(|v| intervals[v].0);
+    let mut order: Vec<usize> = (0..n).filter(|&v| intervals[v].is_some()).collect();
+    order.sort_by_key(|&v| intervals[v].map(|(s, _)| s));
 
-    let mut active: Vec<(usize, VReg, RegRef)> = Vec::new(); // (end, vreg, reg)
-    let mut colors: BTreeMap<VReg, RegRef> = BTreeMap::new();
-    let mut last_used: HashMap<RegRef, usize> = HashMap::new();
-    let mut tick = 0usize;
+    let mut active: Vec<(usize, usize, usize)> = Vec::new(); // (end, vreg, reg)
+    let mut colors = vec![None; n];
+    let mut taken = vec![0u64; cand.words()];
     for v in order {
-        let (start, end) = intervals[&v];
+        let (start, end) = intervals[v].expect("ordered vregs have intervals");
         active.retain(|&(e, _, _)| e >= start);
-        let mut taken: BTreeSet<RegRef> = active.iter().map(|&(_, _, r)| r).collect();
-        if let Some(ps) = g.phys.get(&v) {
-            taken.extend(ps.iter().copied());
+        taken.fill(0);
+        for &(_, _, r) in &active {
+            mask::set(&mut taken, r);
         }
-        let free: Vec<RegRef> = cand[&v]
-            .iter()
-            .copied()
-            .filter(|r| !taken.contains(r))
-            .collect();
-        let pick = if spread {
-            free.iter()
-                .copied()
-                .min_by_key(|r| (last_used.get(r).copied().unwrap_or(0), r.file.0, r.index))
-        } else {
-            free.first().copied()
-        };
-        match pick {
+        for &r in &g.phys[v] {
+            mask::set(&mut taken, r as usize);
+        }
+        match picker.pick(cand.row(v), &taken) {
             Some(r) => {
-                tick += 1;
-                last_used.insert(r, tick);
-                colors.insert(v, r);
+                colors[v] = Some(r);
                 active.push((end, v, r));
             }
             None => {
@@ -500,25 +585,25 @@ fn linear_scan(
                 // or this one if it ends last.
                 let victim = active
                     .iter()
-                    .filter(|(_, av, _)| cand[&v].iter().any(|c| colors.get(av) == Some(c)))
+                    .filter(|&&(_, _, r)| mask::contains(cand.row(v), r))
                     .max_by_key(|&&(e, _, _)| e)
                     .map(|&(_, av, _)| av);
                 return Err(match victim {
-                    Some(av) if intervals[&av].1 > end => av,
+                    Some(av) if intervals[av].is_some_and(|(_, e)| e > end) => av,
                     _ => v,
-                });
+                } as u32);
             }
         }
     }
     Ok(colors)
 }
 
-/// Substitutes assigned registers for vregs everywhere.
-fn rewrite(f: &mut MirFunction, map: &BTreeMap<VReg, RegRef>) {
+/// Substitutes assigned registers (dense indices) for vregs everywhere.
+fn rewrite(f: &mut MirFunction, colors: &[Option<usize>], space: &RegSpace) {
     let fix = |o: &mut Operand| {
         if let Operand::Vreg(v) = o {
-            if let Some(&r) = map.get(v) {
-                *o = Operand::Reg(r);
+            if let Some(&Some(r)) = colors.get(v.0 as usize) {
+                *o = Operand::Reg(space.reg(r));
             }
         }
     };
@@ -555,7 +640,7 @@ fn finalize(f: &mut MirFunction, locations: &HashMap<VReg, Location>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_machine::machines::hm1;
+    use mcc_machine::machines::{hm1, wm64};
     use mcc_machine::AluOp;
     use mcc_mir::{FuncBuilder, Term};
 
@@ -717,6 +802,73 @@ mod tests {
         let mut f = b.finish();
         let rep = allocate(&m, &mut f, &AllocOptions::default()).unwrap();
         assert_ne!(rep.locations[&x], Location::Reg(r3));
+    }
+
+    #[test]
+    fn terminator_source_is_live_through_its_block() {
+        // x is read only by the block's own dispatch, so it stays live
+        // past the later defs of y and z and must not share a register
+        // with them, even when the greedy policy would reuse one.
+        let m = hm1();
+        for strategy in [Strategy::Coloring, Strategy::LinearScan] {
+            let mut b = FuncBuilder::new("t");
+            let x = b.vreg();
+            let y = b.vreg();
+            let z = b.vreg();
+            b.ldi(x, 1);
+            b.ldi(y, 2);
+            b.alu_imm(AluOp::Add, z, y, 1);
+            let t0 = b.new_block();
+            let t1 = b.new_block();
+            b.terminate(Term::Dispatch {
+                src: x.into(),
+                mask: 1,
+                table: vec![t0, t1],
+            });
+            for t in [t0, t1] {
+                b.switch_to(t);
+                b.terminate(Term::Halt);
+            }
+            b.mark_live_out(z);
+            let mut f = b.finish();
+            let opts = AllocOptions {
+                strategy,
+                spread: false,
+                ..Default::default()
+            };
+            let rep = allocate(&m, &mut f, &opts).unwrap();
+            assert_ne!(rep.locations[&x], rep.locations[&y], "{strategy:?}");
+            assert_ne!(rep.locations[&x], rep.locations[&z], "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn fifty_thousand_short_lived_vregs_allocate_in_one_round() {
+        // A straight-line running sum on WM-64: 50 000 vregs, never more
+        // than three live at once. Candidates, liveness and interference
+        // are linear in the function, so this is quick; one candidate
+        // scan per vreg or a dense vreg×vreg matrix would not be.
+        let m = wm64();
+        let mut b = FuncBuilder::new("sum");
+        let mut acc = b.vreg();
+        b.ldi(acc, 1);
+        for i in 1..25_000 {
+            let x = b.vreg();
+            b.ldi(x, i & 0xFF);
+            let next = b.vreg();
+            b.alu(AluOp::Add, next, acc, x);
+            acc = next;
+        }
+        let out = b.vreg();
+        b.mov(out, acc);
+        b.mark_live_out(out);
+        b.terminate(Term::Halt);
+        let mut f = b.finish();
+        assert_eq!(f.vreg_count, 50_000);
+        let rep = allocate(&m, &mut f, &AllocOptions::default()).unwrap();
+        assert_eq!((rep.rounds, rep.spilled), (1, 0));
+        assert!(!f.has_virtual_regs());
+        assert_eq!(rep.locations.len(), 50_000);
     }
 
     #[test]
