@@ -11,7 +11,7 @@ use mcc_machine::{ConflictModel, MachineDesc, MicroInstr};
 use mcc_mir::dep::DepGraph;
 use mcc_mir::select::SelectedOp;
 
-use crate::{fits, Compaction};
+use crate::{fits, Compaction, Scratch};
 
 struct Search<'a> {
     m: &'a MachineDesc,
@@ -89,7 +89,8 @@ pub struct BbStatus {
 
 /// Finds a minimum-length schedule within an explicit node budget,
 /// reporting whether the budget ran out.
-pub fn branch_and_bound_budgeted(
+pub(crate) fn branch_and_bound_budgeted(
+    s: &mut Scratch,
     m: &MachineDesc,
     ops: &[SelectedOp],
     g: &DepGraph,
@@ -97,7 +98,7 @@ pub fn branch_and_bound_budgeted(
     budget: u64,
 ) -> (Compaction, BbStatus) {
     // Start from the critical-path heuristic as the incumbent.
-    let seed = crate::compact(m, ops, crate::Algorithm::CriticalPath, model);
+    let seed = crate::list_schedule(s, m, ops, g, model);
     let mut search = Search {
         m,
         ops,
@@ -119,21 +120,11 @@ pub fn branch_and_bound_budgeted(
             // The search may leave interior empty slots (gaps a later op
             // was expected to fill); `finish` compresses them, which is
             // always legal because no dependence needs a distance > 1.
-            crate::finish(m, instrs, mi_of.into_iter().map(Some).collect(), g, model)
+            crate::finish(&mut s.order, m, instrs, &mi_of, g, model)
         }
         None => seed, // heuristic was already optimal (or budget ran out)
     };
     (c, status)
-}
-
-/// Finds a minimum-length schedule (within the default node budget).
-pub fn branch_and_bound(
-    m: &MachineDesc,
-    ops: &[SelectedOp],
-    g: &DepGraph,
-    model: ConflictModel,
-) -> Compaction {
-    branch_and_bound_budgeted(m, ops, g, model, crate::BB_DEFAULT_BUDGET).0
 }
 
 #[cfg(test)]

@@ -136,13 +136,16 @@ fn pick_candidate<'a>(
     op.candidates.iter().find(|c| fits(m, mi, c, model))
 }
 
+/// Marks an op not yet placed.
+const UNPLACED: usize = usize::MAX;
+
 /// Earliest legal instruction index for op `j` given already-placed preds.
-fn earliest(g: &DepGraph, mi_of: &[Option<usize>], j: usize) -> Option<usize> {
+fn earliest(g: &DepGraph, placed: &[usize], j: usize) -> Option<usize> {
     let mut e = 0usize;
     for &(i, kind) in g.preds(j) {
-        match mi_of[i] {
-            Some(s) => e = e.max(s + kind.min_distance()),
-            None => return None, // predecessor unscheduled
+        match placed[i] {
+            UNPLACED => return None,
+            s => e = e.max(s + kind.min_distance()),
         }
     }
     Some(e)
@@ -162,159 +165,181 @@ fn place_first_fit(
             instrs.resize_with(t + 1, MicroInstr::new);
         }
         if let Some(c) = pick_candidate(m, &instrs[t], op, model) {
-            let c = c.clone();
-            instrs[t].ops.push(c);
+            instrs[t].ops.push(c.clone());
             return t;
         }
         t += 1;
     }
 }
 
-fn linear(m: &MachineDesc, ops: &[SelectedOp], g: &DepGraph, model: ConflictModel) -> Compaction {
-    let mut instrs: Vec<MicroInstr> = Vec::new();
-    let mut placed: Vec<Option<usize>> = vec![None; ops.len()];
-    for j in 0..ops.len() {
-        let e = earliest(g, &placed, j).expect("program order schedules preds first");
-        let t = place_first_fit(m, &mut instrs, &ops[j], e, model);
-        placed[j] = Some(t);
-    }
-    finish(m, instrs, placed, g, model)
+/// Per-op arrays the schedulers share, kept between blocks.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Instruction index of each op, or [`UNPLACED`].
+    placed: Vec<usize>,
+    /// List-scheduling priority (critical path), or ASAP level.
+    key: Vec<usize>,
+    /// Unscheduled-predecessor count of each op.
+    waiting: Vec<usize>,
+    /// Ops ready in the current cycle, by (priority, index).
+    ready: Vec<usize>,
+    /// Ops released in the current cycle, ready from the next one.
+    released: Vec<usize>,
+    /// Op order for level packing; instruction remap for [`finish`].
+    order: Vec<usize>,
 }
 
-fn list_schedule(
+fn linear(
+    s: &mut Scratch,
     m: &MachineDesc,
     ops: &[SelectedOp],
     g: &DepGraph,
     model: ConflictModel,
 ) -> Compaction {
-    let prio = g.critical_path();
+    let mut instrs: Vec<MicroInstr> = Vec::new();
+    s.placed.clear();
+    s.placed.resize(ops.len(), UNPLACED);
+    for (j, op) in ops.iter().enumerate() {
+        let e = earliest(g, &s.placed, j).expect("program order schedules preds first");
+        s.placed[j] = place_first_fit(m, &mut instrs, op, e, model);
+    }
+    finish(&mut s.order, m, instrs, &s.placed, g, model)
+}
+
+/// Cycle-by-cycle list scheduling: in cycle `t`, every ready op is tried
+/// in (priority, index) order and placed when a candidate fits.
+///
+/// An op becomes ready once all its predecessors are placed; one released
+/// in cycle `t` is first tried in cycle `t + 1`. No edge spans more than
+/// one instruction, so that is never earlier than its dependences allow,
+/// and each op is looked at only while it is ready.
+fn list_schedule(
+    s: &mut Scratch,
+    m: &MachineDesc,
+    ops: &[SelectedOp],
+    g: &DepGraph,
+    model: ConflictModel,
+) -> Compaction {
     let n = ops.len();
-    let mut placed: Vec<Option<usize>> = vec![None; n];
+    g.critical_path_into(&mut s.key);
+    let prio = &s.key;
+    let by_priority = |&j: &usize| (std::cmp::Reverse(prio[j]), j);
+    s.placed.clear();
+    s.placed.resize(n, UNPLACED);
+    s.waiting.clear();
+    s.waiting.extend((0..n).map(|j| g.preds(j).len()));
+    s.ready.clear();
+    s.ready.extend((0..n).filter(|&j| s.waiting[j] == 0));
+    s.ready.sort_unstable_by_key(by_priority);
+    s.released.clear();
     let mut instrs: Vec<MicroInstr> = Vec::new();
     let mut done = 0usize;
     let mut t = 0usize;
     while done < n {
-        if t >= instrs.len() {
-            instrs.resize_with(t + 1, MicroInstr::new);
-        }
-        // Ready ops whose earliest slot is ≤ t, by priority then order.
-        let mut ready: Vec<usize> = (0..n)
-            .filter(|&j| placed[j].is_none())
-            .filter(|&j| earliest(g, &placed, j).is_some_and(|e| e <= t))
-            .collect();
-        ready.sort_by_key(|&j| (std::cmp::Reverse(prio[j]), j));
-        let mut progressed = false;
-        for j in ready {
-            // Re-check: an op placed this cycle may create a same-cycle
-            // hazard only through conflicts, which `fits` sees; dependence
-            // distances are fixed before the cycle starts.
-            if let Some(c) = pick_candidate(m, &instrs[t], &ops[j], model) {
-                let c = c.clone();
-                instrs[t].ops.push(c);
-                placed[j] = Some(t);
-                done += 1;
-                progressed = true;
+        instrs.push(MicroInstr::new());
+        let mut kept = 0;
+        for k in 0..s.ready.len() {
+            let j = s.ready[k];
+            let Some(c) = pick_candidate(m, &instrs[t], &ops[j], model) else {
+                s.ready[kept] = j;
+                kept += 1;
+                continue;
+            };
+            instrs[t].ops.push(c.clone());
+            s.placed[j] = t;
+            done += 1;
+            for &(v, _) in g.succs(j) {
+                s.waiting[v] -= 1;
+                if s.waiting[v] == 0 {
+                    s.released.push(v);
+                }
             }
         }
-        let _ = progressed;
+        s.ready.truncate(kept);
+        // Both runs are sorted, so the stable sort is one merge.
+        s.released.sort_unstable_by_key(by_priority);
+        s.ready.append(&mut s.released);
+        s.ready.sort_by_key(by_priority);
         t += 1;
     }
-    finish(m, instrs, placed, g, model)
+    finish(&mut s.order, m, instrs, &s.placed, g, model)
 }
 
 fn level_pack(
+    s: &mut Scratch,
     m: &MachineDesc,
     ops: &[SelectedOp],
     g: &DepGraph,
     model: ConflictModel,
 ) -> Compaction {
-    let levels = g.asap_levels();
-    let max_level = levels.iter().copied().max().unwrap_or(0);
     let n = ops.len();
-    let mut placed: Vec<Option<usize>> = vec![None; n];
+    s.key.clear();
+    s.key.extend(g.asap_levels());
+    s.placed.clear();
+    s.placed.resize(n, UNPLACED);
+    // Level by level, program order within a level.
+    s.order.clear();
+    s.order.extend(0..n);
+    let levels = &s.key;
+    s.order.sort_by_key(|&j| levels[j]);
     let mut instrs: Vec<MicroInstr> = Vec::new();
+    let mut level = 0usize;
     let mut level_start = 0usize;
-    for l in 0..=max_level {
-        let mut level_end = level_start;
-        for j in 0..n {
-            if levels[j] != l {
-                continue;
-            }
-            // Anti-dependences within a level still constrain placement.
-            let e = earliest(g, &placed, j).unwrap_or(level_start).max(level_start);
-            let t = place_first_fit(m, &mut instrs, &ops[j], e, model);
-            placed[j] = Some(t);
-            level_end = level_end.max(t + 1);
+    let mut level_end = 0usize;
+    for &j in &s.order {
+        if levels[j] != level {
+            // The next level starts strictly after this one's instructions.
+            level = levels[j];
+            level_start = level_end.max(level_start);
+            level_end = level_start;
         }
-        // The next level starts strictly after this one's instructions.
-        level_start = level_end.max(level_start);
+        // Anti-dependences within a level still constrain placement.
+        let e = earliest(g, &s.placed, j)
+            .unwrap_or(level_start)
+            .max(level_start);
+        let t = place_first_fit(m, &mut instrs, &ops[j], e, model);
+        s.placed[j] = t;
+        level_end = level_end.max(t + 1);
     }
-    finish(m, instrs, placed, g, model)
+    finish(&mut s.order, m, instrs, &s.placed, g, model)
 }
 
+/// Drops empty instructions, renumbering `placed` into the result's
+/// `mi_of`. `remap` is scratch.
 pub(crate) fn finish(
+    remap: &mut Vec<usize>,
     m: &MachineDesc,
     mut instrs: Vec<MicroInstr>,
-    placed: Vec<Option<usize>>,
+    placed: &[usize],
     g: &DepGraph,
     model: ConflictModel,
 ) -> Compaction {
-    // Drop empty trailing/interior instructions, remapping indices.
-    let mut remap = vec![usize::MAX; instrs.len()];
-    let mut out: Vec<MicroInstr> = Vec::new();
-    for (i, mi) in instrs.drain(..).enumerate() {
-        if !mi.is_empty() {
-            remap[i] = out.len();
-            out.push(mi);
-        }
-    }
+    remap.clear();
+    let mut kept = 0usize;
+    remap.extend(instrs.iter().map(|mi| {
+        let at = kept;
+        kept += usize::from(!mi.is_empty());
+        at
+    }));
+    instrs.retain(|mi| !mi.is_empty());
     let mi_of: Vec<usize> = placed
-        .into_iter()
-        .map(|p| remap[p.expect("all ops placed")])
+        .iter()
+        .map(|&p| {
+            assert_ne!(p, UNPLACED, "all ops placed");
+            remap[p]
+        })
         .collect();
     debug_assert!(g.schedule_respects(&mi_of), "dependence violated");
     debug_assert!(
-        out.iter().all(|mi| m.validate_instr(mi, model).is_ok()),
+        instrs.iter().all(|mi| m.validate_instr(mi, model).is_ok()),
         "conflicting pack emitted"
     );
-    Compaction { instrs: out, mi_of }
+    Compaction { instrs, mi_of }
 }
 
-/// Compacts one basic block of selected operations.
-///
-/// The `model` chooses the conflict oracle; [`Algorithm::Tokoro`] always
-/// uses [`ConflictModel::Fine`] (that *is* the algorithm's contribution).
-pub fn compact(
-    m: &MachineDesc,
-    ops: &[SelectedOp],
-    algo: Algorithm,
-    model: ConflictModel,
-) -> Compaction {
-    if ops.is_empty() {
-        return Compaction {
-            instrs: Vec::new(),
-            mi_of: Vec::new(),
-        };
-    }
-    let g = DepGraph::build(ops);
-    match algo {
-        Algorithm::Linear => linear(m, ops, &g, model),
-        Algorithm::CriticalPath => list_schedule(m, ops, &g, model),
-        Algorithm::LevelPack => level_pack(m, ops, &g, model),
-        Algorithm::Tokoro => list_schedule(m, ops, &g, ConflictModel::Fine),
-        Algorithm::BranchBound => {
-            if ops.len() <= BB_MAX_OPS {
-                bb::branch_and_bound(m, ops, &g, model)
-            } else {
-                list_schedule(m, ops, &g, model)
-            }
-        }
-        Algorithm::Sequential => sequential(ops),
-    }
-}
-
-/// The result of [`compact_degrading`]: the schedule, the algorithm that
-/// finally produced it, and the fallback chain taken to get there.
+/// The result of [`Workspace::compact_degrading`]: the schedule, the
+/// algorithm that finally produced it, and the fallback chain taken to get
+/// there.
 #[derive(Debug, Clone)]
 pub struct DegradedCompaction {
     /// The packed schedule.
@@ -367,109 +392,146 @@ fn check(
     Ok(())
 }
 
-/// Compacts a block with graceful degradation instead of failure.
+/// Reusable state for compacting many blocks: the dependence graph and the
+/// schedulers' per-op arrays. Compacting a function's blocks through one
+/// workspace allocates nothing per block beyond the schedules themselves.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    g: DepGraph,
+    s: Scratch,
+}
+
+impl Workspace {
+    /// Runs one algorithm over the block whose graph is in `self.g`,
+    /// returning the schedule and the name of the algorithm that produced
+    /// it (an oversize exact search runs list scheduling instead). Notes
+    /// why in `events` when the exact search is skipped or cut short.
+    fn run(
+        &mut self,
+        m: &MachineDesc,
+        ops: &[SelectedOp],
+        algo: Algorithm,
+        model: ConflictModel,
+        bb_budget: u64,
+        events: &mut Vec<String>,
+    ) -> (Compaction, &'static str) {
+        let (g, s) = (&self.g, &mut self.s);
+        let c = match algo {
+            Algorithm::Linear => linear(s, m, ops, g, model),
+            Algorithm::CriticalPath => list_schedule(s, m, ops, g, model),
+            Algorithm::LevelPack => level_pack(s, m, ops, g, model),
+            Algorithm::Tokoro => list_schedule(s, m, ops, g, ConflictModel::Fine),
+            Algorithm::BranchBound if ops.len() > BB_MAX_OPS => {
+                events.push(format!(
+                    "optimal: {} ops exceed the {BB_MAX_OPS}-op exact-search limit; \
+                     degrading to list scheduling",
+                    ops.len()
+                ));
+                let c = list_schedule(s, m, ops, g, model);
+                return (c, Algorithm::CriticalPath.name());
+            }
+            Algorithm::BranchBound => {
+                let (c, status) = bb::branch_and_bound_budgeted(s, m, ops, g, model, bb_budget);
+                if status.exhausted {
+                    events.push(format!(
+                        "optimal: node budget {bb_budget} exhausted; \
+                         keeping best schedule found so far"
+                    ));
+                }
+                c
+            }
+            Algorithm::Sequential => sequential(ops),
+        };
+        (c, algo.name())
+    }
+
+    /// Compacts a block with graceful degradation instead of failure.
+    ///
+    /// The chain is: the requested algorithm (the exact search is capped
+    /// by the deterministic `bb_budget` node budget and the [`BB_MAX_OPS`]
+    /// size limit) → critical-path list scheduling → first-come-first-
+    /// served → strictly sequential. Every attempt is validated against
+    /// the dependence DAG and the machine's conflict oracle; an invalid
+    /// schedule drops to the next stage and records why, so the pipeline
+    /// always emits *correct* code, merely less compact under duress.
+    pub fn compact_degrading(
+        &mut self,
+        m: &MachineDesc,
+        ops: &[SelectedOp],
+        algo: Algorithm,
+        model: ConflictModel,
+        bb_budget: u64,
+    ) -> DegradedCompaction {
+        let mut events: Vec<String> = Vec::new();
+        if ops.is_empty() {
+            return DegradedCompaction {
+                compaction: Compaction {
+                    instrs: Vec::new(),
+                    mi_of: Vec::new(),
+                },
+                algorithm_used: algo.name(),
+                events,
+            };
+        }
+        self.g.rebuild(ops);
+        // The request, then list scheduling, then first-come-first-served;
+        // a fallback already tried as the request is skipped.
+        let mut first = "";
+        for stage in [algo, Algorithm::CriticalPath, Algorithm::Linear] {
+            if stage.name() == first {
+                continue;
+            }
+            let (c, used) = self.run(m, ops, stage, model, bb_budget, &mut events);
+            if first.is_empty() {
+                first = used;
+            }
+            let checked = if stage == Algorithm::Tokoro {
+                ConflictModel::Fine
+            } else {
+                model
+            };
+            match check(m, &self.g, &c, checked) {
+                Ok(()) => {
+                    return DegradedCompaction {
+                        compaction: c,
+                        algorithm_used: used,
+                        events,
+                    }
+                }
+                Err(e) => events.push(format!("{used}: invalid schedule ({e}); degrading")),
+            }
+        }
+        // Strictly sequential — cannot fail.
+        events.push("sequential: one operation per microinstruction".into());
+        DegradedCompaction {
+            compaction: sequential(ops),
+            algorithm_used: "sequential",
+            events,
+        }
+    }
+}
+
+/// Compacts one basic block of selected operations.
 ///
-/// The chain is: the requested algorithm (the exact search is capped by
-/// the deterministic `bb_budget` node budget and the [`BB_MAX_OPS`] size
-/// limit) → critical-path list scheduling → first-come-first-served →
-/// strictly sequential. Every attempt is validated against the dependence
-/// DAG and the machine's conflict oracle; an invalid schedule drops to the
-/// next stage and records why, so the pipeline always emits *correct*
-/// code, merely less compact under duress.
-pub fn compact_degrading(
+/// The `model` chooses the conflict oracle; [`Algorithm::Tokoro`] always
+/// uses [`ConflictModel::Fine`] (that *is* the algorithm's contribution).
+/// The exact search runs with [`BB_DEFAULT_BUDGET`] and falls back to
+/// list scheduling above [`BB_MAX_OPS`] operations.
+pub fn compact(
     m: &MachineDesc,
     ops: &[SelectedOp],
     algo: Algorithm,
     model: ConflictModel,
-    bb_budget: u64,
-) -> DegradedCompaction {
+) -> Compaction {
     if ops.is_empty() {
-        return DegradedCompaction {
-            compaction: Compaction {
-                instrs: Vec::new(),
-                mi_of: Vec::new(),
-            },
-            algorithm_used: algo.name(),
-            events: Vec::new(),
+        return Compaction {
+            instrs: Vec::new(),
+            mi_of: Vec::new(),
         };
     }
-    let g = DepGraph::build(ops);
-    let used_model = if algo == Algorithm::Tokoro {
-        ConflictModel::Fine
-    } else {
-        model
-    };
-    let mut events: Vec<String> = Vec::new();
-
-    // Stage 1: the requested algorithm.
-    let attempt = match algo {
-        Algorithm::BranchBound if ops.len() > BB_MAX_OPS => {
-            events.push(format!(
-                "optimal: {} ops exceed the {BB_MAX_OPS}-op exact-search limit; \
-                 degrading to list scheduling",
-                ops.len()
-            ));
-            None
-        }
-        Algorithm::BranchBound => {
-            let (c, status) = bb::branch_and_bound_budgeted(m, ops, &g, model, bb_budget);
-            if status.exhausted {
-                events.push(format!(
-                    "optimal: node budget {bb_budget} exhausted; \
-                     keeping best schedule found so far"
-                ));
-            }
-            Some(c)
-        }
-        Algorithm::Linear => Some(linear(m, ops, &g, model)),
-        Algorithm::CriticalPath => Some(list_schedule(m, ops, &g, model)),
-        Algorithm::LevelPack => Some(level_pack(m, ops, &g, model)),
-        Algorithm::Tokoro => Some(list_schedule(m, ops, &g, ConflictModel::Fine)),
-        Algorithm::Sequential => Some(sequential(ops)),
-    };
-    if let Some(c) = attempt {
-        match check(m, &g, &c, used_model) {
-            Ok(()) => {
-                return DegradedCompaction {
-                    compaction: c,
-                    algorithm_used: algo.name(),
-                    events,
-                }
-            }
-            Err(e) => events.push(format!("{}: invalid schedule ({e}); degrading", algo.name())),
-        }
-    }
-
-    // Stage 2/3: list scheduling, then first-come-first-served.
-    for fallback in [Algorithm::CriticalPath, Algorithm::Linear] {
-        if fallback == algo {
-            continue; // already tried as the request itself
-        }
-        let c = match fallback {
-            Algorithm::Linear => linear(m, ops, &g, model),
-            _ => list_schedule(m, ops, &g, model),
-        };
-        match check(m, &g, &c, model) {
-            Ok(()) => {
-                return DegradedCompaction {
-                    compaction: c,
-                    algorithm_used: fallback.name(),
-                    events,
-                }
-            }
-            Err(e) => {
-                events.push(format!("{}: invalid schedule ({e}); degrading", fallback.name()))
-            }
-        }
-    }
-
-    // Stage 4: strictly sequential — cannot fail.
-    events.push("sequential: one operation per microinstruction".into());
-    DegradedCompaction {
-        compaction: sequential(ops),
-        algorithm_used: "sequential",
-        events,
-    }
+    let mut ws = Workspace::default();
+    ws.g.rebuild(ops);
+    ws.run(m, ops, algo, model, BB_DEFAULT_BUDGET, &mut Vec::new()).0
 }
 
 /// Packs a terminator (or other control op) after a compacted body: into
@@ -487,11 +549,10 @@ pub fn pack_control(
     model: ConflictModel,
 ) -> usize {
     if let Some(last) = instrs.last() {
-        let reads = m.read_set(&op);
         let raw_hazard = last
             .ops
             .iter()
-            .any(|o| m.write_set(o).iter().any(|w| reads.contains(w)));
+            .any(|o| m.writes(o).any(|w| m.reads(&op).any(|r| r == w)));
         let has_control = last
             .ops
             .iter()
@@ -530,10 +591,23 @@ mod tests {
     fn degrading_skips_oversize_exact_search() {
         let m = hm1();
         let mir: Vec<MirOp> = (0..BB_MAX_OPS as u16 + 6)
-            .map(|i| MirOp::alu(AluOp::Add, r(&m, i % 8), r(&m, (i + 1) % 8), r(&m, (i + 2) % 8)))
+            .map(|i| {
+                MirOp::alu(
+                    AluOp::Add,
+                    r(&m, i % 8),
+                    r(&m, (i + 1) % 8),
+                    r(&m, (i + 2) % 8),
+                )
+            })
             .collect();
         let ops = sel(&m, &mir);
-        let d = compact_degrading(&m, &ops, Algorithm::BranchBound, ConflictModel::Fine, 1_000);
+        let d = Workspace::default().compact_degrading(
+            &m,
+            &ops,
+            Algorithm::BranchBound,
+            ConflictModel::Fine,
+            1_000,
+        );
         assert_eq!(d.algorithm_used, "critpath");
         assert_eq!(d.events.len(), 1);
         assert!(d.events[0].contains("exceed"), "{}", d.events[0]);
@@ -547,10 +621,23 @@ mod tests {
     fn degrading_reports_budget_exhaustion() {
         let m = hm1();
         let mir: Vec<MirOp> = (0..8u16)
-            .map(|i| MirOp::alu(AluOp::Add, r(&m, i % 8), r(&m, (i + 1) % 8), r(&m, (i + 2) % 8)))
+            .map(|i| {
+                MirOp::alu(
+                    AluOp::Add,
+                    r(&m, i % 8),
+                    r(&m, (i + 1) % 8),
+                    r(&m, (i + 2) % 8),
+                )
+            })
             .collect();
         let ops = sel(&m, &mir);
-        let d = compact_degrading(&m, &ops, Algorithm::BranchBound, ConflictModel::Fine, 1);
+        let d = Workspace::default().compact_degrading(
+            &m,
+            &ops,
+            Algorithm::BranchBound,
+            ConflictModel::Fine,
+            1,
+        );
         assert_eq!(d.algorithm_used, "optimal");
         assert!(d.events.iter().any(|e| e.contains("budget")), "{:?}", d.events);
         let g = DepGraph::build(&ops);
@@ -563,11 +650,30 @@ mod tests {
     fn degrading_is_deterministic() {
         let m = hm1();
         let mir: Vec<MirOp> = (0..10u16)
-            .map(|i| MirOp::alu(AluOp::Add, r(&m, i % 8), r(&m, (i + 1) % 8), r(&m, (i + 2) % 8)))
+            .map(|i| {
+                MirOp::alu(
+                    AluOp::Add,
+                    r(&m, i % 8),
+                    r(&m, (i + 1) % 8),
+                    r(&m, (i + 2) % 8),
+                )
+            })
             .collect();
         let ops = sel(&m, &mir);
-        let a = compact_degrading(&m, &ops, Algorithm::BranchBound, ConflictModel::Fine, 5_000);
-        let b = compact_degrading(&m, &ops, Algorithm::BranchBound, ConflictModel::Fine, 5_000);
+        let a = Workspace::default().compact_degrading(
+            &m,
+            &ops,
+            Algorithm::BranchBound,
+            ConflictModel::Fine,
+            5_000,
+        );
+        let b = Workspace::default().compact_degrading(
+            &m,
+            &ops,
+            Algorithm::BranchBound,
+            ConflictModel::Fine,
+            5_000,
+        );
         assert_eq!(a.compaction.mi_of, b.compaction.mi_of);
         assert_eq!(a.events, b.events);
     }
@@ -601,7 +707,13 @@ mod tests {
         assert_eq!(c.len(), ops.len());
         let g = DepGraph::build(&ops);
         assert!(check(&m, &g, &c, ConflictModel::Fine).is_ok());
-        let d = compact_degrading(&m, &ops, Algorithm::Sequential, ConflictModel::Fine, 1_000);
+        let d = Workspace::default().compact_degrading(
+            &m,
+            &ops,
+            Algorithm::Sequential,
+            ConflictModel::Fine,
+            1_000,
+        );
         assert_eq!(d.algorithm_used, "sequential");
         assert!(d.events.is_empty());
         assert_eq!(d.compaction.mi_of, c.mi_of);
@@ -821,5 +933,201 @@ mod tests {
         // Deep tiers saturate at the floor rather than reaching zero.
         assert_eq!(budget_for_pressure(BB_DEFAULT_BUDGET, 6), BB_MIN_BUDGET);
         assert_eq!(budget_for_pressure(0, 3), BB_MIN_BUDGET);
+    }
+
+    /// A 20 000-op straight-line block of flag-writing ALU ops mixed with
+    /// memory traffic: the graph stays linear in the block (the all-pairs
+    /// graph held about 2×10⁸ edges here) and the schedule is valid.
+    #[test]
+    fn long_blocks_compact_in_linear_space() {
+        for m in [hm1(), vm1(), bx2(), wm64()] {
+            let mar = Operand::Reg(m.special.mar.unwrap());
+            let mbr = Operand::Reg(m.special.mbr.unwrap());
+            let mir: Vec<MirOp> = (0..20_000u16)
+                .map(|i| match i % 5 {
+                    0 => MirOp::mov(mar, r(&m, i % 8)),
+                    1 => MirOp::new(if i % 2 == 0 {
+                        Semantic::MemRead
+                    } else {
+                        Semantic::MemWrite
+                    }),
+                    2 => MirOp::mov(r(&m, i % 8), mbr),
+                    3 => MirOp::alu(
+                        AluOp::Add,
+                        r(&m, i % 8),
+                        r(&m, (i + 3) % 8),
+                        r(&m, (i + 6) % 8),
+                    ),
+                    _ => MirOp::alu(
+                        AluOp::Xor,
+                        r(&m, i % 8),
+                        r(&m, (i + 1) % 8),
+                        r(&m, (i + 5) % 8),
+                    ),
+                })
+                .collect();
+            let ops = sel(&m, &mir);
+            let g = DepGraph::build(&ops);
+            let reads: usize = ops.iter().map(|o| o.reads.len()).sum();
+            let writes: usize = ops.iter().map(|o| o.writes.len()).sum();
+            let bound = 2 * reads + writes + 3 * ops.len();
+            assert!(
+                g.edge_count() <= bound,
+                "{}: {} edges > {bound}",
+                m.name,
+                g.edge_count()
+            );
+            let d = Workspace::default().compact_degrading(
+                &m,
+                &ops,
+                Algorithm::CriticalPath,
+                ConflictModel::Coarse,
+                1_000,
+            );
+            assert_eq!(d.algorithm_used, "critpath", "{}: {:?}", m.name, d.events);
+            assert!(check(&m, &g, &d.compaction, ConflictModel::Coarse).is_ok());
+        }
+    }
+
+    /// The list scheduler this crate used before the incremental one:
+    /// every cycle rescans all ops for ready ones, over the all-pairs
+    /// dependence graph (one edge per dependent pair).
+    mod oracle {
+        use mcc_machine::{ConflictModel, MachineDesc, MicroInstr, RegRef, Semantic};
+        use mcc_mir::select::SelectedOp;
+
+        fn intersects(a: &[RegRef], b: &[RegRef]) -> bool {
+            a.iter().any(|x| b.contains(x))
+        }
+
+        fn barrier(sem: Semantic) -> bool {
+            matches!(sem, Semantic::Call | Semantic::Poll) || sem.is_control()
+        }
+
+        /// `preds[j]` = every `(i, distance)` with `i` dependent-before `j`.
+        fn all_pairs(ops: &[SelectedOp]) -> Vec<Vec<(usize, usize)>> {
+            let mut preds = vec![Vec::new(); ops.len()];
+            for (j, b) in ops.iter().enumerate() {
+                for (i, a) in ops[..j].iter().enumerate() {
+                    let flow = barrier(a.sem)
+                        || barrier(b.sem)
+                        || (a.sem.may_trap() && b.sem.may_trap())
+                        || intersects(&a.writes, &b.reads);
+                    if flow || intersects(&a.writes, &b.writes) {
+                        preds[j].push((i, 1));
+                    } else if intersects(&a.reads, &b.writes) {
+                        preds[j].push((i, 0));
+                    }
+                }
+            }
+            preds
+        }
+
+        pub fn list_schedule(
+            m: &MachineDesc,
+            ops: &[SelectedOp],
+            model: ConflictModel,
+        ) -> (Vec<MicroInstr>, Vec<usize>) {
+            let n = ops.len();
+            let preds = all_pairs(ops);
+            let mut prio = vec![0usize; n];
+            for j in (0..n).rev() {
+                for &(i, d) in &preds[j] {
+                    prio[i] = prio[i].max(prio[j] + d);
+                }
+            }
+            let earliest = |placed: &[Option<usize>], j: usize| {
+                let mut e = 0usize;
+                for &(i, d) in &preds[j] {
+                    e = e.max(placed[i]? + d);
+                }
+                Some(e)
+            };
+            let mut placed: Vec<Option<usize>> = vec![None; n];
+            let mut instrs: Vec<MicroInstr> = Vec::new();
+            let mut done = 0usize;
+            let mut t = 0usize;
+            while done < n {
+                instrs.push(MicroInstr::new());
+                let mut ready: Vec<usize> = (0..n)
+                    .filter(|&j| placed[j].is_none())
+                    .filter(|&j| earliest(&placed, j).is_some_and(|e| e <= t))
+                    .collect();
+                ready.sort_by_key(|&j| (std::cmp::Reverse(prio[j]), j));
+                for j in ready {
+                    let fit = ops[j]
+                        .candidates
+                        .iter()
+                        .find(|c| instrs[t].ops.iter().all(|o| !m.conflicts(o, c, model)));
+                    if let Some(c) = fit {
+                        instrs[t].ops.push(c.clone());
+                        placed[j] = Some(t);
+                        done += 1;
+                    }
+                }
+                t += 1;
+            }
+            let mut remap = Vec::new();
+            let mut out = Vec::new();
+            for mi in instrs {
+                remap.push(out.len());
+                if !mi.is_empty() {
+                    out.push(mi);
+                }
+            }
+            (out, placed.iter().map(|p| remap[p.unwrap()]).collect())
+        }
+    }
+
+    /// A selectable op for each `(kind, d, a, b)`: ALU ops (flag writers),
+    /// moves, immediates, shifts, memory traffic through MAR/MBR, and
+    /// poll barriers; `None` where the machine lacks the op.
+    fn random_op(m: &MachineDesc, (kind, d, a, b): (u8, u16, u16, u16)) -> Option<SelectedOp> {
+        let imm = u64::from(b);
+        let (d, a, b) = (r(m, d), r(m, a), r(m, b));
+        let mar = Operand::Reg(m.special.mar?);
+        let mbr = Operand::Reg(m.special.mbr?);
+        let op = match kind {
+            0 => MirOp::alu(AluOp::Add, d, a, b),
+            1 => MirOp::alu(AluOp::Xor, d, a, b),
+            2 | 3 => MirOp::mov(d, a),
+            4 => MirOp::ldi(d, imm),
+            5 => MirOp::alu(AluOp::Or, d, a, b),
+            12 => MirOp::shift(mcc_machine::ShiftOp::Shl, d, a, 1),
+            6 => MirOp::mov(mar, a),
+            7 => MirOp::new(Semantic::MemRead),
+            8 => MirOp::mov(d, mbr),
+            9 => MirOp::mov(mbr, a),
+            10 => MirOp::new(Semantic::MemWrite),
+            _ => MirOp::poll(),
+        };
+        select_op(m, &op).ok()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(150))]
+
+        #[test]
+        fn incremental_list_scheduling_matches_the_rescanning_oracle(
+            spec in proptest::collection::vec((0u8..14, 0u16..8, 0u16..8, 0u16..8), 1..30),
+        ) {
+            for m in [hm1(), vm1(), bx2(), wm64()] {
+                let ops: Vec<SelectedOp> = spec.iter().filter_map(|&s| random_op(&m, s)).collect();
+                if ops.is_empty() {
+                    continue;
+                }
+                for (algo, model) in [
+                    (Algorithm::CriticalPath, ConflictModel::Coarse),
+                    (Algorithm::CriticalPath, ConflictModel::Fine),
+                    (Algorithm::Tokoro, ConflictModel::Coarse),
+                ] {
+                    let got = compact(&m, &ops, algo, model);
+                    let used = if algo == Algorithm::Tokoro { ConflictModel::Fine } else { model };
+                    let (instrs, mi_of) = oracle::list_schedule(&m, &ops, used);
+                    proptest::prop_assert_eq!(&got.instrs, &instrs);
+                    proptest::prop_assert_eq!(&got.mi_of, &mi_of);
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use mcc_compact::{compact_degrading, pack_control, Algorithm};
+use mcc_compact::{pack_control, Algorithm, Workspace};
 use mcc_machine::op::MicroBlock;
 use mcc_machine::{BoundOp, CondKind, ConflictModel, MachineDesc, MicroProgram, Semantic};
 use mcc_mir::select::{SelectedFunction, SelectedTerm};
@@ -107,10 +107,13 @@ pub fn emit(
     };
     let mut worst = 0u32;
     let mut out = MicroProgram::new();
+    // Most blocks hold a handful of ops: one workspace for all of them
+    // keeps compaction from allocating per block.
+    let mut ws = Workspace::default();
     for (i, b) in f.blocks.iter().enumerate() {
         let fall = |t: u32| falls_through(i, t, &empty);
         let i = i as u32;
-        let d = compact_degrading(m, &b.ops, algo, model, bb_budget);
+        let d = ws.compact_degrading(m, &b.ops, algo, model, bb_budget);
         for ev in &d.events {
             report.degradations.push(format!("b{i}: {ev}"));
         }

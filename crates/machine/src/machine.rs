@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::field::ControlWordFormat;
-use crate::ids::{ClassId, FileId, ResourceId, TemplateId};
+use crate::ids::{ClassId, FieldId, FileId, ResourceId, TemplateId};
 use crate::op::{BoundOp, MicroInstr};
 use crate::regs::{RegClass, RegRef, RegisterFile, SpecialRegs};
 use crate::resource::Resource;
@@ -21,6 +21,17 @@ pub enum ConflictModel {
     /// Fine: occupancies conflict only when their phase intervals overlap
     /// (Tokoro et al.'s resource-occupancy model).
     Fine,
+}
+
+/// The first reason two bound operations may not share a microinstruction.
+#[derive(Debug, Clone, Copy)]
+enum Clash {
+    /// Both drive this control field (not with one shared constant).
+    Field(FieldId),
+    /// Both occupy this resource (per the conflict model).
+    Resource(ResourceId),
+    /// Both write this register.
+    Register(RegRef),
 }
 
 /// Errors found while validating a machine description or a bound
@@ -254,36 +265,37 @@ impl MachineDesc {
 
     // ---- def/use sets -----------------------------------------------------
 
-    /// All registers written by a bound op (explicit destination, implicit
-    /// writes, and the flags register when the template updates flags).
-    pub fn write_set(&self, op: &BoundOp) -> Vec<RegRef> {
+    /// The registers a bound op writes (explicit destination, implicit
+    /// writes, and the flags register when the template updates flags), in
+    /// that order, without allocating.
+    pub fn writes<'a>(&'a self, op: &'a BoundOp) -> impl Iterator<Item = RegRef> + 'a {
         let t = self.template(op.template);
-        let mut w = Vec::with_capacity(1 + t.implicit_writes.len() + 1);
-        if let Some(d) = op.dst {
-            w.push(d);
-        }
-        w.extend_from_slice(&t.implicit_writes);
-        if t.writes_flags {
-            if let Some(f) = self.special.flags {
-                w.push(f);
-            }
-        }
-        w
+        let flags = if t.writes_flags {
+            self.special.flags
+        } else {
+            None
+        };
+        op.dst
+            .into_iter()
+            .chain(t.implicit_writes.iter().copied())
+            .chain(flags)
     }
 
-    /// All registers read by a bound op (explicit sources, implicit reads,
-    /// and the flags register for condition-testing templates).
-    pub fn read_set(&self, op: &BoundOp) -> Vec<RegRef> {
+    /// The registers a bound op reads (explicit sources, implicit reads,
+    /// and the flags register for condition-testing templates), in that
+    /// order, without allocating.
+    pub fn reads<'a>(&'a self, op: &'a BoundOp) -> impl Iterator<Item = RegRef> + 'a {
         let t = self.template(op.template);
-        let mut r = Vec::with_capacity(op.srcs.len() + t.implicit_reads.len() + 1);
-        r.extend_from_slice(&op.srcs);
-        r.extend_from_slice(&t.implicit_reads);
-        if t.takes_cond {
-            if let Some(f) = self.special.flags {
-                r.push(f);
-            }
-        }
-        r
+        let flags = if t.takes_cond {
+            self.special.flags
+        } else {
+            None
+        };
+        op.srcs
+            .iter()
+            .copied()
+            .chain(t.implicit_reads.iter().copied())
+            .chain(flags)
     }
 
     // ---- conflict oracle ----------------------------------------------------
@@ -293,9 +305,10 @@ impl MachineDesc {
     /// They conflict when (a) they drive the same control field — unless
     /// both drive it with the same constant, (b) their resource occupancies
     /// collide under the chosen [`ConflictModel`], or (c) their write sets
-    /// intersect.
+    /// intersect. Allocation-free: compaction asks this for every
+    /// (placed op, candidate) pair it tries.
     pub fn conflicts(&self, a: &BoundOp, b: &BoundOp, model: ConflictModel) -> bool {
-        self.conflict_reason(a, b, model).is_some()
+        self.clash(a, b, model).is_some()
     }
 
     /// Like [`conflicts`](Self::conflicts) but reports why.
@@ -305,28 +318,26 @@ impl MachineDesc {
         b: &BoundOp,
         model: ConflictModel,
     ) -> Option<String> {
+        self.clash(a, b, model)
+            .map(|c| self.describe_clash(c, a, b))
+    }
+
+    /// The first clash between two bound operations, checking fields, then
+    /// resources, then written registers.
+    fn clash(&self, a: &BoundOp, b: &BoundOp, model: ConflictModel) -> Option<Clash> {
         let ta = self.template(a.template);
         let tb = self.template(b.template);
 
         // (a) control-field conflicts (DeWitt's model).
         for fa in &ta.fields {
             for fb in &tb.fields {
-                if fa.field == fb.field {
-                    let compatible = matches!(
+                if fa.field == fb.field
+                    && !matches!(
                         (fa.value, fb.value),
                         (FieldValueSrc::Const(x), FieldValueSrc::Const(y)) if x == y
-                    );
-                    if !compatible {
-                        let name = self
-                            .control
-                            .get(fa.field)
-                            .map(|f| f.name.clone())
-                            .unwrap_or_else(|| format!("{}", fa.field));
-                        return Some(format!(
-                            "field `{name}` driven by both `{}` and `{}`",
-                            ta.name, tb.name
-                        ));
-                    }
+                    )
+                {
+                    return Some(Clash::Field(fa.field));
                 }
             }
         }
@@ -339,32 +350,39 @@ impl MachineDesc {
                     ConflictModel::Fine => ua.overlaps(ub),
                 };
                 if hit {
-                    let name = self
-                        .resources
-                        .get(ua.resource.index())
-                        .map(|r| r.name.clone())
-                        .unwrap_or_else(|| format!("{}", ua.resource));
-                    return Some(format!(
-                        "resource `{name}` occupied by both `{}` and `{}`",
-                        ta.name, tb.name
-                    ));
+                    return Some(Clash::Resource(ua.resource));
                 }
             }
         }
 
         // (c) write/write collisions.
-        let wa = self.write_set(a);
-        let wb = self.write_set(b);
-        for r in &wa {
-            if wb.contains(r) {
-                return Some(format!(
-                    "register {r} written by both `{}` and `{}`",
-                    ta.name, tb.name
-                ));
-            }
-        }
+        self.writes(a)
+            .find(|&r| self.writes(b).any(|w| w == r))
+            .map(Clash::Register)
+    }
 
-        None
+    fn describe_clash(&self, c: Clash, a: &BoundOp, b: &BoundOp) -> String {
+        let ta = &self.template(a.template).name;
+        let tb = &self.template(b.template).name;
+        match c {
+            Clash::Field(f) => {
+                let name = self
+                    .control
+                    .get(f)
+                    .map(|f| f.name.clone())
+                    .unwrap_or_else(|| format!("{f}"));
+                format!("field `{name}` driven by both `{ta}` and `{tb}`")
+            }
+            Clash::Resource(r) => {
+                let name = self
+                    .resources
+                    .get(r.index())
+                    .map(|r| r.name.clone())
+                    .unwrap_or_else(|| format!("{r}"));
+                format!("resource `{name}` occupied by both `{ta}` and `{tb}`")
+            }
+            Clash::Register(r) => format!("register {r} written by both `{ta}` and `{tb}`"),
+        }
     }
 
     // ---- validation ---------------------------------------------------------
@@ -530,23 +548,20 @@ impl MachineDesc {
             }
         }
 
-        let reg_specs: Vec<ClassId> = t
-            .srcs
-            .iter()
-            .filter_map(|s| match s {
-                SrcSpec::Class(c) => Some(*c),
-                SrcSpec::Imm { .. } => None,
-            })
-            .collect();
-        if reg_specs.len() != op.srcs.len() {
+        let reg_specs = t.srcs.iter().filter_map(|s| match s {
+            SrcSpec::Class(c) => Some(*c),
+            SrcSpec::Imm { .. } => None,
+        });
+        let expected = reg_specs.clone().count();
+        if expected != op.srcs.len() {
             return Err(MachineError::OperandMismatch(format!(
                 "`{}`: expected {} register sources, got {}",
                 t.name,
-                reg_specs.len(),
+                expected,
                 op.srcs.len()
             )));
         }
-        for (i, (&c, &r)) in reg_specs.iter().zip(op.srcs.iter()).enumerate() {
+        for (i, (c, &r)) in reg_specs.zip(op.srcs.iter()).enumerate() {
             if !self.class(c).contains(r) {
                 return Err(MachineError::OperandMismatch(format!(
                     "`{}`: source {i} register {r} not in class `{}`",
@@ -630,8 +645,9 @@ impl MachineDesc {
         }
         for i in 0..mi.ops.len() {
             for j in i + 1..mi.ops.len() {
-                if let Some(why) = self.conflict_reason(&mi.ops[i], &mi.ops[j], model) {
-                    return Err(MachineError::Conflict(why));
+                let (a, b) = (&mi.ops[i], &mi.ops[j]);
+                if let Some(c) = self.clash(a, b, model) {
+                    return Err(MachineError::Conflict(self.describe_clash(c, a, b)));
                 }
             }
         }
@@ -767,10 +783,10 @@ mod tests {
         let m = toy();
         let add = m.find_template("add").unwrap();
         let a = BoundOp::new(add).with_dst(r(0)).with_src(r(1)).with_src(r(2));
-        let w = m.write_set(&a);
+        let w: Vec<RegRef> = m.writes(&a).collect();
         assert!(w.contains(&r(0)));
         assert!(w.contains(&m.special.flags.unwrap()));
-        let rd = m.read_set(&a);
+        let rd: Vec<RegRef> = m.reads(&a).collect();
         assert_eq!(rd.len(), 2);
     }
 
@@ -792,6 +808,102 @@ mod tests {
         let mut m = toy();
         m.add_template(MicroOpTemplate::new("bad", Semantic::Move).with_dst(ClassId(99)));
         assert!(matches!(m.validate(), Err(MachineError::DanglingRef(_))));
+    }
+
+    /// The conflict oracle as it was before it became allocation-free:
+    /// collected write sets and a message built per conflict.
+    fn allocating_conflict_reason(
+        m: &MachineDesc,
+        a: &BoundOp,
+        b: &BoundOp,
+        model: ConflictModel,
+    ) -> Option<String> {
+        let ta = m.template(a.template);
+        let tb = m.template(b.template);
+        for fa in &ta.fields {
+            for fb in &tb.fields {
+                if fa.field == fb.field {
+                    let compatible = matches!(
+                        (fa.value, fb.value),
+                        (FieldValueSrc::Const(x), FieldValueSrc::Const(y)) if x == y
+                    );
+                    if !compatible {
+                        let name = m.control.get(fa.field).unwrap().name.clone();
+                        return Some(format!(
+                            "field `{name}` driven by both `{}` and `{}`",
+                            ta.name, tb.name
+                        ));
+                    }
+                }
+            }
+        }
+        for ua in &ta.occupancy {
+            for ub in &tb.occupancy {
+                let hit = match model {
+                    ConflictModel::Coarse => ua.same_resource(ub),
+                    ConflictModel::Fine => ua.overlaps(ub),
+                };
+                if hit {
+                    let name = m.resources[ua.resource.index()].name.clone();
+                    return Some(format!(
+                        "resource `{name}` occupied by both `{}` and `{}`",
+                        ta.name, tb.name
+                    ));
+                }
+            }
+        }
+        let mut wa = Vec::new();
+        let mut wb = Vec::new();
+        for (op, t, w) in [(a, ta, &mut wa), (b, tb, &mut wb)] {
+            w.extend(op.dst);
+            w.extend_from_slice(&t.implicit_writes);
+            if t.writes_flags {
+                w.extend(m.special.flags);
+            }
+        }
+        for r in &wa {
+            if wb.contains(r) {
+                return Some(format!(
+                    "register {r} written by both `{}` and `{}`",
+                    ta.name, tb.name
+                ));
+            }
+        }
+        None
+    }
+
+    /// A bound op of template `pick % templates` whose destination (when
+    /// the template has one) is one of the first four registers of its
+    /// class, so that write collisions are common.
+    fn random_op(m: &MachineDesc, pick: u32, reg: u16) -> BoundOp {
+        let t = &m.templates[pick as usize % m.templates.len()];
+        let mut op = BoundOp::new(TemplateId((pick as usize % m.templates.len()) as u16));
+        if let Some(c) = t.dst {
+            let class = m.class(c);
+            op.dst = class.members().nth(reg as usize % class.size().min(4));
+        }
+        op
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn conflicts_agree_with_the_allocating_oracle(
+            pairs in proptest::collection::vec((0u32..10_000, 0u32..10_000, 0u16..4, 0u16..4), 1..24),
+        ) {
+            for m in crate::machines::all() {
+                for model in [ConflictModel::Coarse, ConflictModel::Fine] {
+                    for &(pa, pb, ra, rb) in &pairs {
+                        let a = random_op(&m, pa, ra);
+                        let b = random_op(&m, pb, rb);
+                        let want = allocating_conflict_reason(&m, &a, &b, model);
+                        proptest::prop_assert_eq!(m.conflicts(&a, &b, model), want.is_some());
+                        proptest::prop_assert_eq!(m.conflict_reason(&a, &b, model), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

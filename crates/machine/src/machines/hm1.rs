@@ -408,8 +408,14 @@ mod tests {
         let m = hm1();
         let read = m.find_template("read").unwrap();
         let op = BoundOp::new(read);
-        assert_eq!(m.read_set(&op), vec![m.special.mar.unwrap()]);
-        assert_eq!(m.write_set(&op), vec![m.special.mbr.unwrap()]);
+        assert_eq!(
+            m.reads(&op).collect::<Vec<_>>(),
+            vec![m.special.mar.unwrap()]
+        );
+        assert_eq!(
+            m.writes(&op).collect::<Vec<_>>(),
+            vec![m.special.mbr.unwrap()]
+        );
     }
 
     #[test]

@@ -233,12 +233,12 @@ pub fn select_op(m: &MachineDesc, op: &MirOp) -> Result<SelectedOp, SelectError>
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     for c in &candidates {
-        for r in m.read_set(c) {
+        for r in m.reads(c) {
             if !reads.contains(&r) {
                 reads.push(r);
             }
         }
-        for w in m.write_set(c) {
+        for w in m.writes(c) {
             if !writes.contains(&w) {
                 writes.push(w);
             }

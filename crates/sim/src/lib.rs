@@ -167,7 +167,7 @@ struct EccStore {
 #[derive(Debug, Clone)]
 struct Checkpoint {
     regs: Vec<Vec<u64>>,
-    mem: Vec<u64>,
+    mem: Vec<u16>,
     flags: Flags,
 }
 
@@ -177,7 +177,8 @@ pub struct Simulator {
     m: MachineDesc,
     store: Vec<mcc_machine::MicroInstr>,
     regs: Vec<Vec<u64>>,
-    mem: Vec<u64>,
+    // Memory words are 16 bits wide: every store masks to `0xFFFF`.
+    mem: Vec<u16>,
     mapped: Vec<bool>,
     flags: Flags,
     upc: u32,
@@ -261,12 +262,12 @@ impl Simulator {
 
     /// Reads a memory word.
     pub fn mem(&self, addr: u64) -> u64 {
-        self.mem[(addr % MEM_WORDS) as usize]
+        u64::from(self.mem[(addr % MEM_WORDS) as usize])
     }
 
     /// Writes a memory word (test/workload setup; does not fault).
     pub fn set_mem(&mut self, addr: u64, v: u64) {
-        self.mem[(addr % MEM_WORDS) as usize] = v & 0xFFFF;
+        self.mem[(addr % MEM_WORDS) as usize] = v as u16;
     }
 
     /// Current flags.
@@ -394,7 +395,7 @@ impl Simulator {
                 }
                 FaultKind::MemoryUpset { addr, bit } => {
                     let slot = &mut self.mem[(addr % MEM_WORDS) as usize];
-                    *slot = (*slot ^ (1u64 << (bit as u32 % 16))) & 0xFFFF;
+                    *slot ^= 1u16 << (bit as u32 % 16);
                 }
                 FaultKind::StuckField {
                     addr,
@@ -606,7 +607,7 @@ impl Simulator {
                     }
                     writes.push(Write {
                         reg: mbr,
-                        value: self.mem[addr as usize],
+                        value: u64::from(self.mem[addr as usize]),
                     });
                 }
                 Semantic::MemWrite => {
@@ -679,7 +680,7 @@ impl Simulator {
             self.flags = fl;
         }
         if let Some((addr, v)) = mem_write {
-            self.mem[addr as usize] = v & 0xFFFF;
+            self.mem[addr as usize] = v as u16;
         }
 
         // Sequencing.
@@ -1243,6 +1244,34 @@ mod tests {
         let st = s.run(&opts).unwrap();
         assert_eq!(s.reg(r(&m, 1)), 6, "the upset value propagated");
         assert_eq!(st.faults_detected, 0, "registers carry no parity");
+    }
+
+    #[test]
+    fn memory_words_are_sixteen_bits() {
+        let m = machine();
+        let p = program(
+            &m,
+            vec![BoundOp::new(m.find_template("ldi").unwrap())
+                .with_dst(r(&m, 0))
+                .with_imm(1)],
+        );
+        let mut s = Simulator::new(m.clone(), &p);
+        s.set_mem(0x40, 0x1_2345);
+        assert_eq!(s.mem(0x40), 0x2345, "stores keep the low 16 bits");
+        s.set_mem(0x41, 0x0F0F);
+        let opts = SimOptions {
+            faults: FaultPlan::single(
+                0,
+                FaultKind::MemoryUpset {
+                    addr: 0x41,
+                    bit: 15,
+                },
+            ),
+            ..Default::default()
+        };
+        s.run(&opts).unwrap();
+        assert_eq!(s.mem(0x41), 0x8F0F, "bit 15 flips and nothing else");
+        assert_eq!(s.mem(0x40), 0x2345);
     }
 
     #[test]
