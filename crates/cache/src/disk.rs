@@ -38,19 +38,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+/// 64-bit FNV-1a, the harness's one copy ([`mcc_harness::hash`]).
+pub use mcc_harness::hash::fnv1a;
+use mcc_harness::hash::parse_sum;
+
 use crate::lock::ExclusiveLock;
 use crate::{toolkit_salt, CacheKey, Counters};
-
-/// 64-bit FNV-1a — the same function, with the same parameters, as the
-/// harness journal's record checksums.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 const CACHE_LOG: &str = "cache.log";
 const STATS_LOG: &str = "stats.log";
@@ -358,8 +351,7 @@ fn parse_record(line: &str) -> Option<(u128, String)> {
     let body_and_sum = line.strip_prefix("A ")?;
     // The checksum is the fixed-width final field.
     let (body, sum_hex) = body_and_sum.rsplit_once(' ')?;
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum_hex.len() != 16 || fnv1a(body.as_bytes()) != sum {
+    if parse_sum(sum_hex)? != fnv1a(body.as_bytes()) {
         return None;
     }
     let (key_hex, payload) = body.split_once(' ')?;
@@ -384,9 +376,7 @@ pub fn read_stats(dir: &Path) -> Counters {
         let Some((body, sum_hex)) = body_and_sum.rsplit_once(' ') else {
             continue;
         };
-        if sum_hex.len() != 16
-            || u64::from_str_radix(sum_hex, 16).ok() != Some(fnv1a(body.as_bytes()))
-        {
+        if parse_sum(sum_hex) != Some(fnv1a(body.as_bytes())) {
             continue;
         }
         // Four numbers (pre-eviction format) or five.

@@ -15,21 +15,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use crate::hash::{seal, unseal};
 use crate::json::{esc, get_num, get_str, parse_object, Val};
 
 /// Journal format version; bumped on any incompatible record change.
 pub const JOURNAL_VERSION: u64 = 1;
-
-/// FNV-1a over bytes: the journal's checksum and fingerprint hash. Not
-/// cryptographic — it detects torn writes, not adversaries.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// How a journaled job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,24 +113,6 @@ impl From<std::io::Error> for JournalError {
 
 // ------------------------------------------------------------ encoding ----
 
-/// Seals a record body (a JSON object *without* the `sum` field) by
-/// splicing in `"sum"` over the body's FNV, producing the journal line.
-fn seal(body: String) -> String {
-    let sum = fnv1a(body.as_bytes());
-    debug_assert!(body.ends_with('}'));
-    format!("{},\"sum\":\"{sum:016x}\"}}\n", &body[..body.len() - 1])
-}
-
-/// Splits a sealed line back into its body and verifies the checksum.
-fn unseal(line: &str) -> Option<String> {
-    let idx = line.rfind(",\"sum\":\"")?;
-    let tail = &line[idx + 8..];
-    let hex = tail.strip_suffix("\"}")?;
-    let sum = u64::from_str_radix(hex, 16).ok()?;
-    let body = format!("{}}}", &line[..idx]);
-    (fnv1a(body.as_bytes()) == sum).then_some(body)
-}
-
 fn header_body(h: &Header) -> String {
     format!(
         "{{\"v\":{JOURNAL_VERSION},\"kind\":\"header\",\"campaign\":\"{}\",\"seed\":{},\"jobs\":{},\"fingerprint\":\"{:016x}\"}}",
@@ -222,7 +194,7 @@ impl Journal {
             .write(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(seal(header_body(header)).as_bytes())?;
+        file.write_all(seal(&header_body(header)).as_bytes())?;
         file.sync_data()?;
         Ok(Journal { file, next_seq: 0 })
     }
@@ -303,7 +275,7 @@ impl Journal {
     /// [`JournalError::Io`] on filesystem trouble.
     pub fn append(&mut self, mut rec: JobRecord) -> Result<u64, JournalError> {
         rec.seq = self.next_seq;
-        self.file.write_all(seal(record_body(&rec)).as_bytes())?;
+        self.file.write_all(seal(&record_body(&rec)).as_bytes())?;
         self.file.sync_data()?;
         self.next_seq += 1;
         Ok(rec.seq)
@@ -317,7 +289,7 @@ impl Journal {
     ///
     /// [`JournalError::Io`] on filesystem trouble.
     pub fn append_torn(&mut self, rec: &JobRecord) -> Result<(), JournalError> {
-        let line = seal(record_body(rec));
+        let line = seal(&record_body(rec));
         self.file.write_all(&line.as_bytes()[..line.len() / 2])?;
         self.file.flush()?;
         Ok(())
@@ -351,6 +323,20 @@ mod tests {
             attempts: 1,
             error: String::new(),
             cells: cells.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    /// The trace's flip loop (`mcc_serve::trace`) over a sealed job line:
+    /// a case-flipped seal digit must not alias the same sum.
+    #[test]
+    fn any_single_byte_flip_is_detected() {
+        let line = seal(&record_body(&rec("job-7", &["12", "hm1"])));
+        let line = line.trim_end_matches('\n');
+        for i in 0..line.len() {
+            let mut bytes = line.as_bytes().to_vec();
+            bytes[i] ^= 0x20;
+            let flipped = String::from_utf8_lossy(&bytes);
+            assert!(parse_record(&flipped).is_none(), "flip at {i} accepted: {flipped}");
         }
     }
 

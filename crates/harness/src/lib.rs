@@ -35,6 +35,7 @@
 pub mod backoff;
 pub mod breaker;
 pub mod chaos;
+pub mod hash;
 pub mod journal;
 pub mod json;
 pub mod pool;
@@ -48,38 +49,22 @@ use std::time::{Duration, Instant};
 pub use backoff::BackoffConfig;
 pub use breaker::{Admit, Breaker, BreakerBank, BreakerConfig};
 pub use chaos::{ChaosPlan, Fault};
+pub use hash::{fnv1a, splitmix64};
 pub use journal::{Header, JobRecord, JobStatus, Journal, JournalError};
 pub use pool::{PoolHandle, Task, TaskOutcome, WorkerPool};
 pub use restart::{RestartDecision, RestartPolicy, RestartTracker};
 
-/// SplitMix64 — the toolkit's standard seedable mixer, shared by backoff
-/// jitter, chaos decisions, the load generator, and the routing ring.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The shared hash behind backoff jitter and chaos decisions: a pure
 /// function of `(campaign seed, job id, attempt)`.
 pub(crate) fn backoff_hash(seed: u64, job_id: &str, attempt: u32) -> u64 {
-    splitmix64(seed ^ journal::fnv1a(job_id.as_bytes()) ^ u64::from(attempt))
+    splitmix64(seed ^ fnv1a(job_id.as_bytes()) ^ u64::from(attempt))
 }
 
 /// Fingerprint of an ordered job-id list, stored in the journal header so
 /// a resume against a different job set is rejected instead of replayed.
 pub fn fingerprint<'a>(ids: impl Iterator<Item = &'a str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in ids {
-        for &b in id.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    // Each id is terminated by 0xff, a byte no UTF-8 string contains.
+    fnv1a(&ids.flat_map(|id| id.bytes().chain([0xff])).collect::<Vec<u8>>())
 }
 
 /// One unit of campaign work.

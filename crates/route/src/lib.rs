@@ -47,7 +47,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mcc_harness::{Admit, Breaker, BreakerConfig};
-use mcc_serve::metrics::{merge_with_label, sanitize_label};
+use mcc_serve::counter;
+use mcc_serve::metrics::Kind::{Counter, Gauge};
+use mcc_serve::metrics::{self, render_metrics, render_stats, Decl, Exposition, Spec};
 use mcc_serve::proto::{self, frame_id, parse_request, CompileReq, JoinReq, Request, Response};
 use mcc_serve::tcp::{LineHandler, WireSubmission};
 
@@ -469,7 +471,9 @@ impl Router {
                 r.to_line()
             }
             Ok(Request::Stats) => self.stats_response(&frame_id(line)).to_line(),
-            Ok(Request::Metrics) => self.metrics_response(&frame_id(line)).to_line(),
+            Ok(Request::Metrics) => {
+                metrics::response(&frame_id(line), &self.metrics_text()).to_line()
+            }
             Ok(Request::Drain) => {
                 let inflight = self.drain();
                 let mut r = Response::new(&frame_id(line), 200);
@@ -664,166 +668,110 @@ impl Router {
         }
     }
 
-    /// Renders the router `stats` response: one JSON blob aggregating
-    /// the routing counters with, per backend, the served count, the
-    /// breaker state, and the probe health (last round-trip micros,
-    /// ok/fail totals).
+    /// Renders the router `stats` response: every declared series in
+    /// [`SERIES`], the info fields (role, members, breaker states, drain
+    /// flag), and the per-tenant rollup over the live backends.
     fn stats_response(&self, id: &str) -> Response {
-        let c = &self.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut r = Response::new(id, 200);
         r.push_str("role", "route");
-        r.push_num("routed", load(&c.routed));
-        r.push_num("failovers", load(&c.failovers));
-        r.push_num("hedges", load(&c.hedges));
-        r.push_num("hedge_wins", load(&c.hedge_wins));
-        r.push_num("hedge_losses", load(&c.hedge_losses));
-        r.push_num("no_backend", load(&c.no_backend));
-        r.push_num("hot_routed", load(&c.hot_routed));
-        r.push_num("drain_rejects", load(&c.drain_rejects));
-        r.push_num("bad_requests", load(&c.bad_requests));
-        r.push_num("probe_failures", load(&c.probe_failures));
-        r.push_num("idle_reaped", load(&c.idle_reaped));
-        r.push_num("joins", load(&c.joins));
-        r.push_num("leaves", load(&c.leaves));
-        r.push_num("corrupt_frames", load(&c.corrupt_frames));
-        r.push_num("oversized_frames", load(&c.oversized_frames));
-        r.push_num("v2_connections", load(&c.v2_connections));
-        r.push_num("v2_frames", load(&c.v2_frames));
-        let m = self.membership.read().unwrap();
-        r.push_num("backends", m.slots.len() as u64);
-        r.push_str(
-            "members",
-            &m.slots
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        for s in &m.slots {
-            r.push_num(&format!("served_{}", s.name), s.served.load(Ordering::Relaxed));
-            r.push_str(
-                &format!("breaker_{}", s.name),
-                s.breaker.lock().unwrap().state_name(),
-            );
-            r.push_num(
-                &format!("probe_rtt_us_{}", s.name),
-                s.probe_rtt_us.load(Ordering::Relaxed),
-            );
-            r.push_num(&format!("probe_ok_{}", s.name), s.probe_ok.load(Ordering::Relaxed));
-            r.push_num(
-                &format!("probe_fail_{}", s.name),
-                s.probe_fail.load(Ordering::Relaxed),
-            );
-        }
-        let slots: Vec<Arc<Slot>> = m.slots.clone();
-        drop(m);
-        r.push_str(
-            "draining",
-            if self.is_draining() { "true" } else { "false" },
-        );
-        // Per-tenant rollup: ask every live backend for its stats and
-        // sum the QoS served counters. Pre-QoS shards answer without
-        // the fields and simply drop out of the sum.
-        let mut tenants: BTreeMap<String, u64> = BTreeMap::new();
+        render_stats(SERIES, self, &mut r);
+        r.push_str("members", &self.backend_names().join(","));
+        let slots: Vec<Arc<Slot>> = self.membership.read().unwrap().slots.clone();
         for s in &slots {
-            if !s.breaker.lock().unwrap().is_closed() {
-                continue;
-            }
-            if let Ok(reply) = s.transport().call("{\"op\":\"stats\"}\n", "route-stats") {
-                for (t, n) in tenant_served_from_stats(&reply) {
-                    *tenants.entry(t).or_insert(0) += n;
-                }
+            r.push_str(&format!("breaker_{}", s.name), s.breaker.lock().unwrap().state_name());
+        }
+        r.push_str("draining", if self.is_draining() { "true" } else { "false" });
+        // Per-tenant rollup: sum the QoS served counters of every live
+        // backend. Pre-QoS shards answer without the fields and simply
+        // drop out of the sum.
+        let mut tenants: BTreeMap<String, u64> = BTreeMap::new();
+        for (_, reply) in self.call_live("{\"op\":\"stats\"}\n", "route-stats") {
+            for (t, n) in tenant_served_from_stats(&reply) {
+                *tenants.entry(t).or_insert(0) += n;
             }
         }
-        r.push_str(
-            "tenants",
-            &tenants
-                .keys()
-                .map(String::as_str)
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        for (t, n) in &tenants {
-            r.push_num(&format!("tenant_served_{t}"), *n);
-        }
-        r
-    }
-
-    /// Answers the wire `metrics` op: the merged exposition as a `text`
-    /// field, mirroring the shard-side response shape.
-    fn metrics_response(&self, id: &str) -> Response {
-        let mut r = Response::new(id, 200);
-        r.push_str("format", "prometheus-text");
-        r.push_str("text", &self.metrics_text());
+        metrics::push_tenants(&mut r, &tenants.into_iter().collect::<Vec<_>>());
         r
     }
 
     /// Renders the router's own Prometheus exposition, then fans the
     /// `metrics` op out to every live backend and folds each shard's
-    /// exposition in under a `shard="<name>"` label.
+    /// exposition in under a `shard="<name>"` label, each family's
+    /// samples from every shard kept in one group.
     pub fn metrics_text(&self) -> String {
-        let c = &self.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = String::new();
-        for (name, help, val) in [
-            ("mcc_route_routed_total", "Compile requests routed.", load(&c.routed)),
-            (
-                "mcc_route_failovers_total",
-                "Requests re-fired at a ring successor.",
-                load(&c.failovers),
-            ),
-            ("mcc_route_hedges_total", "Hedges fired.", load(&c.hedges)),
-            (
-                "mcc_route_no_backend_total",
-                "Requests with no live backend.",
-                load(&c.no_backend),
-            ),
-            (
-                "mcc_route_drain_rejects_total",
-                "Requests rejected while draining.",
-                load(&c.drain_rejects),
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {val}\n"
-            ));
+        let mut out = Exposition::default();
+        render_metrics("route", SERIES, self, &mut out);
+        for (name, reply) in self.call_live("{\"op\":\"metrics\"}\n", "route-metrics") {
+            if let Some(text) = Response::field_str(&reply, "text") {
+                out.merge(&text, "shard", &name);
+            }
         }
+        out.to_string()
+    }
+
+    /// Sends `frame` to every member whose breaker is closed and returns
+    /// the replies that arrived, with the member's name.
+    fn call_live(&self, frame: &str, client: &str) -> Vec<(String, String)> {
         let slots: Vec<Arc<Slot>> = self.membership.read().unwrap().slots.clone();
-        out.push_str(
-            "# HELP mcc_route_backend_up Breaker state per backend (1 = closed).\n# TYPE mcc_route_backend_up gauge\n",
-        );
-        for s in &slots {
-            let up = s.breaker.lock().unwrap().is_closed();
-            out.push_str(&format!(
-                "mcc_route_backend_up{{backend=\"{}\"}} {}\n",
-                sanitize_label(&s.name),
-                u8::from(up),
-            ));
-        }
-        out.push_str(
-            "# HELP mcc_route_backend_served_total Requests served per backend.\n# TYPE mcc_route_backend_served_total counter\n",
-        );
-        for s in &slots {
-            out.push_str(&format!(
-                "mcc_route_backend_served_total{{backend=\"{}\"}} {}\n",
-                sanitize_label(&s.name),
-                s.served.load(Ordering::Relaxed),
-            ));
-        }
-        for s in &slots {
-            if !s.breaker.lock().unwrap().is_closed() {
-                continue;
-            }
-            if let Ok(reply) = s.transport().call("{\"op\":\"metrics\"}\n", "route-metrics") {
-                if let Some(text) = Response::field_str(&reply, "text") {
-                    merge_with_label(&mut out, &text, "shard", &s.name);
-                }
-            }
-        }
-        out
+        slots
+            .iter()
+            .filter(|s| s.breaker.lock().unwrap().is_closed())
+            .filter_map(|s| Some((s.name.clone(), s.transport().call(frame, client).ok()?)))
+            .collect()
+    }
+
+    /// What [`SERIES`] declares: the `stats` and `metrics` names of
+    /// every counter and gauge (family names under layer `route`).
+    pub fn metric_specs() -> impl Iterator<Item = &'static Spec> {
+        SERIES.iter().map(|d| &d.spec)
+    }
+
+    /// One `(backend name, value)` per member.
+    fn per_slot(&self, value: impl Fn(&Slot) -> u64) -> Vec<(String, u64)> {
+        let m = self.membership.read().unwrap();
+        m.slots.iter().map(|s| (s.name.clone(), value(s))).collect()
     }
 }
+
+/// Every counter and gauge of the router, declared once: `stats` and
+/// `metrics` both render from this list ([`Decl`]).
+static SERIES: &[Decl<Router>] = &[
+    counter!(routed, "Compile requests routed."),
+    counter!(failovers, "Requests re-fired at a ring successor."),
+    counter!(hedges, "Hedges fired."),
+    counter!(hedge_wins, "Hedged requests won by the hedge."),
+    counter!(hedge_losses, "Hedged requests the primary still won."),
+    counter!(no_backend, "Requests with no live backend."),
+    counter!(hot_routed, "Requests routed by hot-key rotation."),
+    counter!(drain_rejects, "Requests rejected while draining."),
+    counter!(bad_requests, "Malformed frames answered 400."),
+    counter!(probe_failures, "Failed health probes."),
+    counter!(idle_reaped, "Idle connections closed by the reaper."),
+    counter!(joins, "Join frames applied."),
+    counter!(leaves, "Leave frames applied."),
+    counter!(corrupt_frames, "Frames that failed envelope or v2 validation."),
+    counter!(oversized_frames, "Inbound frames past the size cap."),
+    counter!(v2_connections, "Connections that negotiated protocol v2."),
+    counter!(v2_frames, "Binary v2 frames decoded."),
+    Decl::gauge("backends", "Ring members.", |r| r.backend_names().len() as u64),
+    Decl::family(Counter, "served_{}", "backend_served", "backend", "Responses per backend.", |r| {
+        r.per_slot(|s| s.served.load(Ordering::Relaxed))
+    }),
+    Decl::family(Gauge, "probe_rtt_us_{}", "probe_rtt_us", "backend", "Last probe RTT, µs.", |r| {
+        r.per_slot(|s| s.probe_rtt_us.load(Ordering::Relaxed))
+    }),
+    Decl::family(Counter, "probe_ok_{}", "probe_ok", "backend", "Healthy probes.", |r| {
+        r.per_slot(|s| s.probe_ok.load(Ordering::Relaxed))
+    }),
+    Decl::family(Counter, "probe_fail_{}", "probe_fail", "backend", "Failed probes.", |r| {
+        r.per_slot(|s| s.probe_fail.load(Ordering::Relaxed))
+    }),
+    // Its `stats` form is the `breaker_<b>` state string.
+    Decl::family(Gauge, "", "backend_up", "backend", "1 = breaker closed.", |r: &Router| {
+        r.per_slot(|s| u64::from(s.breaker.lock().unwrap().is_closed()))
+    })
+    .metrics_only(),
+];
 
 /// Pulls the per-tenant served counters out of one backend's `stats`
 /// line. Peers predating the QoS fields lack them entirely: they

@@ -93,19 +93,12 @@ pub struct ServeCounters {
     /// Requests shed `503` at the class-scaled bound, by class
     /// (interactive / batch / background) — background sheds first.
     pub shed_by_class: [AtomicU64; 3],
-    /// Compile requests answered `200`, by class.
-    pub served_by_class: [AtomicU64; 3],
 }
 
 impl ServeCounters {
     /// Bumps one counter.
     pub fn bump(&self, c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total requests served at any degraded tier.
-    pub fn degraded_total(&self) -> u64 {
-        self.degraded.iter().map(|d| d.load(Ordering::Relaxed)).sum()
     }
 }
 

@@ -58,6 +58,9 @@ pub use dedup::{Claim, DedupWindow};
 pub use proto::{parse_request, CompileReq, Request, Response};
 pub use qos::{tier_for_class, Class, WfqQueue};
 
+use metrics::Decl;
+use metrics::Kind::Counter;
+
 /// Server tuning.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -217,6 +220,72 @@ type ConstsKey = (String, &'static str, String);
 /// and the cache-key prefix it implies.
 type CompilerConsts = (Arc<Compiler>, mcc_cache::KeyPrefix);
 
+/// One `(class name, value)` per class.
+fn per_class(value: impl Fn(usize) -> u64) -> Vec<(String, u64)> {
+    Class::ALL.iter().map(|c| (c.name().to_string(), value(c.idx()))).collect()
+}
+
+/// Every counter and gauge of the daemon, declared once: `stats` and
+/// `metrics` both render from this list ([`metrics::Decl`]).
+static SERIES: &[Decl<Inner>] = &[
+    Decl::gauge("queue_depth", "Admitted-but-unresolved requests.", |i| {
+        i.inflight.load(Ordering::SeqCst) as u64
+    }),
+    Decl::gauge("queue_bound", "Bound on admitted requests.", |i| i.cfg.queue_bound as u64),
+    Decl::gauge("workers", "Worker threads compiling requests.", |i| i.cfg.workers as u64),
+    counter!(accepted, "Compile requests admitted."),
+    counter!(completed, "Admitted requests answered 200."),
+    counter!(compile_errors, "Admitted requests answered 400 (compile error)."),
+    counter!(bad_requests, "Frames rejected 400 before admission."),
+    counter!(rate_limited, "Requests rejected 429."),
+    counter!(shed, "Requests shed 503 at the class bound."),
+    counter!(breaker_rejects, "Requests rejected 503 by an open breaker."),
+    counter!(drain_rejects, "Requests rejected 503 while draining."),
+    counter!(deadline_expired, "Admitted requests answered 504."),
+    counter!(panics, "Contained pipeline panics."),
+    counter!(idle_reaped, "Idle connections closed by the reaper."),
+    counter!(replayed, "Duplicates answered from the idempotency window."),
+    counter!(oversized_frames, "Inbound frames past the size cap."),
+    counter!(corrupt_frames, "Frames that failed envelope or v2 validation."),
+    counter!(v2_connections, "Connections that negotiated protocol v2."),
+    counter!(v2_frames, "Binary v2 frames decoded."),
+    Decl::family(Counter, "degraded_t{}", "degraded", "tier", "Admissions per degraded tier.", |i| {
+        let degraded = |t: usize| i.counters.degraded[t - 1].load(Ordering::Relaxed);
+        (1..=3).map(|t| (t.to_string(), degraded(t))).collect()
+    }),
+    Decl::counter("rate_buckets_evicted", "Rate buckets evicted by the cap.", |i| {
+        i.limiter.evicted()
+    }),
+    counter!(quota_shed, "Requests shed 503 by their tenant's queued quota."),
+    Decl::gauge("wfq_depth", "Requests queued in the weighted-fair queue.", |i| {
+        i.qos.lock().unwrap().wfq.len() as u64
+    }),
+    Decl::family(Counter, "shed_{}", "shed_by_class", "class", "Sheds (503) per class.", |i| {
+        per_class(|c| i.counters.shed_by_class[c].load(Ordering::Relaxed))
+    }),
+    Decl::family(Counter, "class_served_{}", "class_served", "class", "200s per class.", |i| {
+        let served = i.metrics.served_by_class();
+        per_class(|c| served[c])
+    }),
+    Decl::counter("breaker_trips", "Machine breakers tripped open.", |i| {
+        i.breakers.lock().unwrap().0.trips()
+    }),
+    Decl::counter("cache_hits", "Compile cache hits.", |_| mcc_cache::global().counters().hits()),
+    Decl::counter("cache_misses", "Compile cache misses.", |_| {
+        mcc_cache::global().counters().misses
+    }),
+    Decl::gauge("cache_hit_permille", "Cache hits per thousand lookups.", |_| {
+        let c = mcc_cache::global().counters();
+        (c.hits() * 1000).checked_div(c.hits() + c.misses).unwrap_or(0)
+    }),
+    Decl::gauge("uptime_ms", "Uptime in milliseconds.", |i| i.started.elapsed().as_millis() as u64),
+    // Its `stats` form is the string field `draining`.
+    Decl::gauge("draining", "1 while the server is draining.", |i: &Inner| {
+        u64::from(i.draining.load(Ordering::SeqCst))
+    })
+    .metrics_only(),
+];
+
 impl Inner {
     /// The memoized compile constants for `(machine, lang, opts)`,
     /// building and caching them on first sight. `machine` must already
@@ -292,7 +361,7 @@ fn algo_from_name(name: &str) -> Option<mcc_compact::Algorithm> {
 /// conformance checksum clients use to prove cache invisibility (a warm
 /// hit must equal a cold compile byte for byte).
 fn artifact_checksum(art: &mcc_core::Artifact) -> u64 {
-    mcc_cache::disk::fnv1a(mcc_cache::serialize_artifact(art).as_bytes())
+    mcc_harness::fnv1a(mcc_cache::serialize_artifact(art).as_bytes())
 }
 
 impl Server {
@@ -430,15 +499,9 @@ impl Server {
                 r.push_num("pid", u64::from(std::process::id()));
                 Submitted::Done(r)
             }
-            Request::Stats => {
-                let mut r = self.stats_response();
-                r.id = proto::frame_id(line);
-                Submitted::Done(r)
-            }
+            Request::Stats => Submitted::Done(self.stats_response(&proto::frame_id(line))),
             Request::Metrics => {
-                let mut r = self.metrics_response();
-                r.id = proto::frame_id(line);
-                Submitted::Done(r)
+                Submitted::Done(metrics::response(&proto::frame_id(line), &self.metrics_text()))
             }
             Request::Drain => {
                 self.begin_drain();
@@ -659,147 +722,34 @@ impl Server {
         Submitted::Pending(rx)
     }
 
-    /// Renders the `stats` response: queue depth, shed/degrade/breaker
-    /// counters, and the cache hit rate.
-    fn stats_response(&self) -> Response {
+    /// Renders the `stats` response: every declared series in
+    /// [`SERIES`], then the info fields that are not numbers.
+    fn stats_response(&self, id: &str) -> Response {
         let inner = &*self.inner;
-        let c = &inner.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut r = Response::new("", 200);
-        r.push_num("queue_depth", inner.inflight.load(Ordering::SeqCst) as u64);
-        r.push_num("queue_bound", inner.cfg.queue_bound as u64);
-        r.push_num("workers", inner.cfg.workers as u64);
-        r.push_num("accepted", load(&c.accepted));
-        r.push_num("completed", load(&c.completed));
-        r.push_num("compile_errors", load(&c.compile_errors));
-        r.push_num("bad_requests", load(&c.bad_requests));
-        r.push_num("rate_limited", load(&c.rate_limited));
-        r.push_num("shed", load(&c.shed));
-        r.push_num("breaker_rejects", load(&c.breaker_rejects));
-        r.push_num("drain_rejects", load(&c.drain_rejects));
-        r.push_num("deadline_expired", load(&c.deadline_expired));
-        r.push_num("panics", load(&c.panics));
-        r.push_num("idle_reaped", load(&c.idle_reaped));
-        r.push_num("replayed", load(&c.replayed));
-        r.push_num("oversized_frames", load(&c.oversized_frames));
-        r.push_num("corrupt_frames", load(&c.corrupt_frames));
-        r.push_num("v2_connections", load(&c.v2_connections));
-        r.push_num("v2_frames", load(&c.v2_frames));
-        r.push_num("degraded_t1", load(&c.degraded[0]));
-        r.push_num("degraded_t2", load(&c.degraded[1]));
-        r.push_num("degraded_t3", load(&c.degraded[2]));
-        // QoS fields (absent from pre-WFQ servers; aggregating peers
-        // must treat them as 0 when missing — see the route crate's
-        // cross-version parse test).
-        r.push_num("rate_buckets_evicted", inner.limiter.evicted());
-        r.push_num("quota_shed", load(&c.quota_shed));
-        r.push_num("wfq_depth", inner.qos.lock().unwrap().wfq.len() as u64);
-        for class in Class::ALL {
-            r.push_num(&format!("shed_{}", class.name()), load(&c.shed_by_class[class.idx()]));
-            r.push_num(
-                &format!("class_served_{}", class.name()),
-                load(&c.served_by_class[class.idx()]),
-            );
-        }
-        let by_tenant = inner.metrics.served_by_tenant();
-        r.push_str(
-            "tenants",
-            &by_tenant.iter().map(|(t, _)| t.as_str()).collect::<Vec<_>>().join(","),
-        );
-        for (t, n) in &by_tenant {
-            r.push_num(&format!("tenant_served_{t}"), *n);
-        }
-        let breakers = inner.breakers.lock().unwrap();
-        r.push_num("breaker_trips", breakers.0.trips());
-        r.push_str("breakers_open", &breakers.0.degraded_keys().join(","));
-        drop(breakers);
-        let cache = mcc_cache::global().counters();
-        let lookups = cache.hits() + cache.misses;
-        r.push_num("cache_hits", cache.hits());
-        r.push_num("cache_misses", cache.misses);
-        r.push_num(
-            "cache_hit_permille",
-            (cache.hits() * 1000).checked_div(lookups).unwrap_or(0),
-        );
-        r.push_str(
-            "draining",
-            if inner.draining.load(Ordering::SeqCst) { "true" } else { "false" },
-        );
-        r
-    }
-
-    /// Renders the `metrics` response: the full Prometheus text
-    /// exposition in the `text` field (JSON-escaped; clients unescape
-    /// via [`Response::field_str`]).
-    fn metrics_response(&self) -> Response {
-        let mut r = Response::new("", 200);
-        r.push_str("format", "prometheus-text");
-        r.push_str("text", &self.metrics_text());
+        let mut r = Response::new(id, 200);
+        metrics::render_stats(SERIES, inner, &mut r);
+        // Per-tenant served counts, absent from pre-QoS servers (so
+        // aggregating peers read a missing field as 0). `metrics` has
+        // them as `mcc_serve_requests_total{code="200"}`.
+        metrics::push_tenants(&mut r, &inner.metrics.served_by_tenant());
+        r.push_str("breakers_open", &inner.breakers.lock().unwrap().0.degraded_keys().join(","));
+        let draining = inner.draining.load(Ordering::SeqCst);
+        r.push_str("draining", if draining { "true" } else { "false" });
         r
     }
 
     /// The raw Prometheus text exposition for this server.
     pub fn metrics_text(&self) -> String {
-        let inner = &*self.inner;
-        let c = &inner.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let gauge = |name: &str, help: &str, v: u64| {
-            (name.to_string(), help.to_string(), "gauge", String::new(), v)
-        };
-        let counter = |name: &str, help: &str, v: u64| {
-            (name.to_string(), help.to_string(), "counter", String::new(), v)
-        };
-        let cache = mcc_cache::global().counters();
-        let extra = vec![
-            gauge(
-                "mcc_serve_queue_depth",
-                "Admitted-but-unresolved compile requests.",
-                inner.inflight.load(Ordering::SeqCst) as u64,
-            ),
-            gauge(
-                "mcc_serve_wfq_depth",
-                "Admitted requests still queued in the weighted-fair queue.",
-                inner.qos.lock().unwrap().wfq.len() as u64,
-            ),
-            gauge(
-                "mcc_serve_draining",
-                "1 while the server is draining.",
-                u64::from(inner.draining.load(Ordering::SeqCst)),
-            ),
-            gauge(
-                "mcc_serve_uptime_ms",
-                "Milliseconds since the server started.",
-                inner.started.elapsed().as_millis() as u64,
-            ),
-            counter("mcc_serve_accepted_total", "Compile requests admitted.", load(&c.accepted)),
-            counter("mcc_serve_completed_total", "Admitted requests answered 200.", load(&c.completed)),
-            counter("mcc_serve_shed_total", "Requests shed 503 at the class bound.", load(&c.shed)),
-            counter(
-                "mcc_serve_quota_shed_total",
-                "Requests shed 503 by their tenant's queued quota.",
-                load(&c.quota_shed),
-            ),
-            counter("mcc_serve_rate_limited_total", "Requests rejected 429.", load(&c.rate_limited)),
-            counter(
-                "mcc_serve_breaker_rejects_total",
-                "Requests rejected 503 by an open breaker.",
-                load(&c.breaker_rejects),
-            ),
-            counter(
-                "mcc_serve_deadline_expired_total",
-                "Admitted requests answered 504.",
-                load(&c.deadline_expired),
-            ),
-            counter("mcc_serve_panics_total", "Contained pipeline panics.", load(&c.panics)),
-            counter(
-                "mcc_serve_rate_buckets_evicted_total",
-                "Per-client rate buckets evicted by the cap.",
-                inner.limiter.evicted(),
-            ),
-            counter("mcc_serve_cache_hits_total", "Compile cache hits.", cache.hits()),
-            counter("mcc_serve_cache_misses_total", "Compile cache misses.", cache.misses),
-        ];
-        inner.metrics.render(&extra)
+        let mut out = metrics::Exposition::default();
+        self.inner.metrics.render(&mut out);
+        metrics::render_metrics("serve", SERIES, &*self.inner, &mut out);
+        out.to_string()
+    }
+
+    /// What [`SERIES`] declares: the `stats` and `metrics` names of
+    /// every counter and gauge (family names under layer `serve`).
+    pub fn metric_specs() -> impl Iterator<Item = &'static metrics::Spec> {
+        SERIES.iter().map(|d| &d.spec)
     }
 
     /// Current counters (for the in-process bench and tests).
@@ -1024,8 +974,8 @@ fn dispatch_ready(inner: &Inner) {
     }
 }
 
-/// Records one resolved request in the per-class counters, the metrics
-/// registry, and (when configured) the trace journal.
+/// Records one resolved request in the metrics registry and (when
+/// configured) the trace journal.
 #[allow(clippy::too_many_arguments)]
 fn observe(
     inner: &Inner,
@@ -1038,7 +988,6 @@ fn observe(
     us: u64,
 ) {
     if code == 200 {
-        inner.counters.bump(&inner.counters.served_by_class[class.idx()]);
         inner.metrics.record_tier(class, tier);
     }
     inner.metrics.record(tenant, class, code, Some(us));

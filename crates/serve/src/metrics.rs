@@ -1,16 +1,18 @@
-//! Prometheus-style metrics for the serve path: per-tenant/class
+//! Prometheus-style metrics for the serve path: the counter
+//! declarations `stats` and `metrics` both render from ([`Decl`]: one
+//! per counter or gauge, so the two views cannot drift), per-tenant/class
 //! request counters, log-bucketed latency histograms, per-class tier
-//! counters, and the text renderer behind the `metrics` op.
+//! counters, and the text exposition behind the `metrics` op.
 //!
 //! ## Naming
 //!
-//! Everything is prefixed `mcc_serve_` (`mcc_route_` / `mcc_fleet_` for
-//! the aggregators) and follows the Prometheus conventions: counters end
-//! in `_total`, histograms expose `_bucket{le=…}` / `_sum` / `_count`,
-//! gauges are bare. Latency buckets are powers of two in microseconds
-//! (`le="1"`, `"2"`, … `"16777216"`, `"+Inf"`) — log-bucketed so one
-//! fixed array spans sub-microsecond cache hits to multi-second
-//! deadline-bound compiles with bounded error.
+//! Everything is prefixed `mcc_serve_` (`mcc_route_` for the router) and
+//! follows the Prometheus conventions: counters end in `_total`,
+//! histograms expose `_bucket{le=…}` / `_sum` / `_count`, gauges are
+//! bare. Latency buckets are powers of two in microseconds (`le="1"`,
+//! `"2"`, … `"16777216"`, `"+Inf"`) — log-bucketed so one fixed array
+//! spans sub-microsecond cache hits to multi-second deadline-bound
+//! compiles with bounded error.
 //!
 //! ## Label cardinality
 //!
@@ -20,14 +22,17 @@
 //! the metrics surface without bound while still accounting every
 //! request somewhere.
 //!
-//! The module also carries the two text-level helpers the aggregation
-//! layers share: [`validate`] (the shape check CI and the diurnal bench
-//! gate on) and [`merge_with_label`] (how `route`/`fleet` fold a
-//! shard's exposition into their own under a `shard="…"` label).
+//! ## Exposition
+//!
+//! [`Exposition`] keeps every family's lines in one group however many
+//! shards contribute to it ([`Exposition::merge`]); [`validate`] is the
+//! shape check CI and the diurnal bench gate on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 use std::sync::Mutex;
 
+use crate::proto::Response;
 use crate::qos::Class;
 
 /// Cap on distinct tenant label values; the rest fold into `"other"`.
@@ -171,28 +176,29 @@ impl QosMetrics {
             .collect()
     }
 
-    /// Renders the full Prometheus text exposition. `extra` carries the
-    /// caller's scalar series: `(name, help, type, labels, value)` where
-    /// `labels` is either empty or `key="value",…` without braces.
-    pub fn render(&self, extra: &[(String, String, &'static str, String, u64)]) -> String {
+    /// Requests answered `200` per class (the sum of each class's tier
+    /// row), indexed by [`Class::idx`].
+    pub fn served_by_class(&self) -> [u64; 3] {
         let reg = self.inner.lock().unwrap();
-        let mut out = String::new();
+        reg.tier.map(|row| row.iter().sum())
+    }
 
-        out.push_str("# HELP mcc_serve_requests_total Responses by tenant, class and code.\n");
-        out.push_str("# TYPE mcc_serve_requests_total counter\n");
+    /// Renders the tenant, latency and tier families into `out`.
+    pub fn render(&self, out: &mut Exposition) {
+        let reg = self.inner.lock().unwrap();
+        let help = "Responses by tenant, class and code.";
+        let s = out.family("mcc_serve_requests_total", help, "counter");
         for (tenant, t) in &reg.tenants {
             for ((class, code), n) in &t.by_code {
                 let class = Class::ALL[usize::from(*class)].name();
-                out.push_str(&format!(
+                s.push_str(&format!(
                     "mcc_serve_requests_total{{tenant=\"{tenant}\",class=\"{class}\",code=\"{code}\"}} {n}\n"
                 ));
             }
         }
 
-        out.push_str(
-            "# HELP mcc_serve_latency_us Request latency in microseconds, admitted requests.\n",
-        );
-        out.push_str("# TYPE mcc_serve_latency_us histogram\n");
+        let help = "Request latency in microseconds, admitted requests.";
+        let s = out.family("mcc_serve_latency_us", help, "histogram");
         for (tenant, t) in &reg.tenants {
             for class in Class::ALL {
                 let h = &t.latency[class.idx()];
@@ -200,39 +206,239 @@ impl QosMetrics {
                     continue;
                 }
                 let labels = format!("tenant=\"{tenant}\",class=\"{}\",", class.name());
-                h.render(&mut out, "mcc_serve_latency_us", &labels);
+                h.render(s, "mcc_serve_latency_us", &labels);
             }
         }
 
-        out.push_str("# HELP mcc_serve_tier_total Requests served at each pressure tier.\n");
-        out.push_str("# TYPE mcc_serve_tier_total counter\n");
+        let help = "Requests served at each pressure tier.";
+        let s = out.family("mcc_serve_tier_total", help, "counter");
         for class in Class::ALL {
             for (tier, n) in reg.tier[class.idx()].iter().enumerate() {
                 if *n == 0 {
                     continue;
                 }
-                out.push_str(&format!(
+                s.push_str(&format!(
                     "mcc_serve_tier_total{{class=\"{}\",tier=\"{tier}\"}} {n}\n",
                     class.name()
                 ));
             }
         }
-        drop(reg);
+    }
+}
 
-        let mut last_name = String::new();
-        for (name, help, ty, labels, value) in extra {
-            if *name != last_name {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {ty}\n"));
-                last_name = name.clone();
+/// The kind of a declared series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Only grows; the family name ends in `_total`.
+    Counter,
+    /// Moves both ways; the family name is bare.
+    Gauge,
+}
+
+/// The names of one declared series.
+#[derive(Debug, Clone, Copy)]
+pub struct Spec {
+    /// The `stats` key, `{}` standing for the label value in a labelled
+    /// family; `None` when the `stats` form is a string info field.
+    pub stat: Option<&'static str>,
+    /// The family name between `mcc_<layer>_` and a counter's `_total`.
+    pub name: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// The label of a labelled family; empty for a scalar.
+    pub label: &'static str,
+}
+
+impl Spec {
+    /// The Prometheus family name under `layer` (`serve`, `route`).
+    pub fn family(&self, layer: &str) -> String {
+        let total = if self.kind == Kind::Counter { "_total" } else { "" };
+        format!("mcc_{layer}_{}{total}", self.name)
+    }
+}
+
+/// One declared counter or gauge of the daemon `C`: the single source
+/// `stats` and `metrics` both render from.
+pub struct Decl<C> {
+    /// Its names.
+    pub spec: Spec,
+    read: Read<C>,
+}
+
+/// A scalar's value, or one `(label value, value)` per family member.
+enum Read<C> {
+    One(fn(&C) -> u64),
+    Each(fn(&C) -> Vec<(String, u64)>),
+}
+
+impl<C> Decl<C> {
+    /// A scalar counter: stats `stat`, family `mcc_<layer>_<stat>_total`.
+    pub const fn counter(stat: &'static str, help: &'static str, read: fn(&C) -> u64) -> Self {
+        let spec = Spec { stat: Some(stat), name: stat, help, kind: Kind::Counter, label: "" };
+        Decl { spec, read: Read::One(read) }
+    }
+
+    /// A scalar gauge: stats `stat`, family `mcc_<layer>_<stat>`.
+    pub const fn gauge(stat: &'static str, help: &'static str, read: fn(&C) -> u64) -> Self {
+        let spec = Spec { stat: Some(stat), name: stat, help, kind: Kind::Gauge, label: "" };
+        Decl { spec, read: Read::One(read) }
+    }
+
+    /// A family `name` labelled `label`, one stats key per member from
+    /// the pattern `stat`.
+    pub const fn family(
+        kind: Kind,
+        stat: &'static str,
+        name: &'static str,
+        label: &'static str,
+        help: &'static str,
+        read: fn(&C) -> Vec<(String, u64)>,
+    ) -> Self {
+        let spec = Spec { stat: Some(stat), name, help, kind, label };
+        Decl { spec, read: Read::Each(read) }
+    }
+
+    /// Drops the `stats` key: the series is rendered to `metrics` only.
+    pub const fn metrics_only(mut self) -> Self {
+        self.spec.stat = None;
+        self
+    }
+
+    /// Visits every sample as `(label value, value)`; a scalar has no
+    /// label value.
+    fn each(&self, ctx: &C, mut f: impl FnMut(Option<&str>, u64)) {
+        match self.read {
+            Read::One(read) => f(None, read(ctx)),
+            Read::Each(read) => read(ctx).iter().for_each(|(v, n)| f(Some(v), *n)),
+        }
+    }
+}
+
+/// Declares a counter read from the daemon's `counters` field of the
+/// same name: `counter!(accepted, "Compile requests admitted.")`.
+#[macro_export]
+macro_rules! counter {
+    ($field:ident, $help:literal) => {
+        $crate::metrics::Decl::counter(stringify!($field), $help, |d| {
+            d.counters.$field.load(::std::sync::atomic::Ordering::Relaxed)
+        })
+    };
+}
+
+/// Appends every declared series that has a stats key to `r`.
+pub fn render_stats<C>(decls: &[Decl<C>], ctx: &C, r: &mut Response) {
+    for d in decls {
+        let Some(stat) = d.spec.stat else { continue };
+        d.each(ctx, |v, n| r.push_num(&v.map_or(stat.to_string(), |v| stat.replace("{}", v)), n));
+    }
+}
+
+/// Appends every declared series to `out`, as families under `layer`.
+pub fn render_metrics<C>(layer: &str, decls: &[Decl<C>], ctx: &C, out: &mut Exposition) {
+    for d in decls {
+        let name = d.spec.family(layer);
+        let kind = if d.spec.kind == Kind::Counter { "counter" } else { "gauge" };
+        let s = out.family(&name, d.spec.help, kind);
+        d.each(ctx, |v, n| match v {
+            None => s.push_str(&format!("{name} {n}\n")),
+            Some(v) => {
+                let label = format!("{}=\"{}\"", d.spec.label, sanitize_label(v));
+                s.push_str(&format!("{name}{{{label}}} {n}\n"));
             }
-            if labels.is_empty() {
-                out.push_str(&format!("{name} {value}\n"));
-            } else {
-                out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+        });
+    }
+}
+
+/// The `metrics` op's answer: the exposition in a `text` field
+/// (JSON-escaped; clients unescape via [`Response::field_str`]).
+pub fn response(id: &str, text: &str) -> Response {
+    let mut r = Response::new(id, 200);
+    r.push_str("format", "prometheus-text");
+    r.push_str("text", text);
+    r
+}
+
+/// Appends per-tenant served counts to a `stats` response: the
+/// `tenants` csv and one `tenant_served_<t>` per tenant.
+pub fn push_tenants(r: &mut Response, served: &[(String, u64)]) {
+    let names: Vec<&str> = served.iter().map(|(t, _)| t.as_str()).collect();
+    r.push_str("tenants", &names.join(","));
+    for (t, n) in served {
+        r.push_num(&format!("tenant_served_{t}"), *n);
+    }
+}
+
+/// A Prometheus text exposition held by family: each family's lines
+/// (header first) stay one group, families in first-seen order.
+/// Render with `to_string()`.
+#[derive(Default)]
+pub struct Exposition {
+    /// `(family name, its lines)`.
+    families: Vec<(String, String)>,
+}
+
+impl Exposition {
+    /// The lines of family `name`, created on first use with its
+    /// `# HELP`/`# TYPE` header.
+    pub fn family(&mut self, name: &str, help: &str, kind: &str) -> &mut String {
+        let fresh = self.families.len();
+        let i = self.index(name);
+        if i == fresh {
+            self.families[i].1 = format!("# HELP {name} {help}\n# TYPE {name} {kind}\n");
+        }
+        &mut self.families[i].1
+    }
+
+    fn index(&mut self, name: &str) -> usize {
+        self.families.iter().position(|f| f.0 == name).unwrap_or_else(|| {
+            self.families.push((name.to_string(), String::new()));
+            self.families.len() - 1
+        })
+    }
+
+    /// Folds another exposition in: every sample gains `key="value"` as
+    /// its first label and joins its family's group. A family's header
+    /// comes from the first exposition that has it.
+    pub fn merge(&mut self, text: &str, key: &str, value: &str) {
+        let tag = format!("{key}=\"{}\"", sanitize_label(value));
+        let fresh = self.families.len();
+        // The family the last header named, and its index.
+        let mut current: Option<(String, usize)> = None;
+        for line in text.lines() {
+            if line.starts_with('#') {
+                let Some(name) = line.split(' ').nth(2) else { continue };
+                let i = self.index(name);
+                if i >= fresh {
+                    self.families[i].1.push_str(&format!("{line}\n"));
+                }
+                current = Some((name.to_string(), i));
+            } else if let Some((series, val)) = line.rsplit_once(' ') {
+                let (name, rest) = series.split_once('{').unwrap_or((series, "}"));
+                let sep = if rest == "}" { "" } else { "," };
+                let i = match &current {
+                    Some((family, i)) if in_family(name, family) => *i,
+                    _ => self.index(name),
+                };
+                self.families[i].1.push_str(&format!("{name}{{{tag}{sep}{rest} {val}\n"));
             }
         }
-        out
     }
+}
+
+impl fmt::Display for Exposition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.families.iter().try_for_each(|(_, lines)| f.write_str(lines))
+    }
+}
+
+/// Whether a sample named `sample` belongs to family `family`: the
+/// same name, or one of a histogram's `_bucket`/`_sum`/`_count` series.
+fn in_family(sample: &str, family: &str) -> bool {
+    sample
+        .strip_prefix(family)
+        .is_some_and(|rest| matches!(rest, "" | "_bucket" | "_sum" | "_count"))
 }
 
 /// Escapes a wire-supplied string for use as a Prometheus label value.
@@ -251,10 +457,14 @@ pub fn sanitize_label(raw: &str) -> String {
 
 /// Validates the shape of a Prometheus text exposition: every non-empty
 /// line is a well-formed comment or `name[{labels}] value`, histogram
-/// `_bucket` series are cumulative in `le`, and every `TYPE` names one
-/// of the types this layer emits. Returns the first violation.
+/// `_bucket` series are cumulative in `le`, every `TYPE` names one of
+/// the types this layer emits, and all lines of one family form one
+/// group (a family that reappears after another one began is an
+/// error). Returns the first violation.
 pub fn validate(text: &str) -> Result<(), String> {
     let mut bucket_last: BTreeMap<String, (f64, u64)> = BTreeMap::new();
+    let mut groups: HashSet<&str> = HashSet::new();
+    let mut current = "";
     for (ln, line) in text.lines().enumerate() {
         let ln = ln + 1;
         if line.is_empty() {
@@ -278,6 +488,10 @@ pub fn validate(text: &str) -> Result<(), String> {
                 }
                 _ => return Err(format!("line {ln}: unknown comment `{kind}`")),
             }
+            if name != current && !groups.insert(name) {
+                return Err(format!("line {ln}: family `{name}` appears in two groups"));
+            }
+            current = name;
             continue;
         }
         let (series, value) = line
@@ -303,6 +517,10 @@ pub fn validate(text: &str) -> Result<(), String> {
         {
             return Err(format!("line {ln}: bad metric name `{name}`"));
         }
+        if !in_family(name, current) && !groups.insert(name) {
+            return Err(format!("line {ln}: family `{name}` appears in two groups"));
+        }
+        current = if in_family(name, current) { current } else { name };
         if let Some(labels) = labels {
             for pair in split_labels(labels) {
                 let Some((k, v)) = pair.split_once('=') else {
@@ -378,37 +596,6 @@ fn split_labels(labels: &str) -> Vec<String> {
     out
 }
 
-/// Folds one exposition into an aggregate under an extra label: every
-/// sample line gains `key="value"`, repeated `# HELP`/`# TYPE` headers
-/// are deduplicated. This is how `route` and `fleet` merge per-shard
-/// expositions into one document.
-pub fn merge_with_label(out: &mut String, text: &str, key: &str, value: &str) {
-    let tag = format!("{key}=\"{}\"", sanitize_label(value));
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') {
-            if !out.contains(line) {
-                out.push_str(line);
-                out.push('\n');
-            }
-            continue;
-        }
-        let Some((series, val)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        match series.split_once('{') {
-            Some((name, rest)) => {
-                out.push_str(&format!("{name}{{{tag},{rest} {val}\n"));
-            }
-            None => {
-                out.push_str(&format!("{series}{{{tag}}} {val}\n"));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,14 +626,12 @@ mod tests {
         m.record("evil\"corp\n", Class::Background, 200, Some(7));
         m.record_tier(Class::Interactive, 0);
         m.record_tier(Class::Background, 3);
-        let extra = vec![(
-            "mcc_serve_queue_depth".to_string(),
-            "Admitted-but-unresolved requests.".to_string(),
-            "gauge",
-            String::new(),
-            3,
-        )];
-        let text = m.render(&extra);
+        static DEPTH: &[Decl<u64>] =
+            &[Decl::gauge("queue_depth", "Admitted-but-unresolved requests.", |d| *d)];
+        let mut out = Exposition::default();
+        m.render(&mut out);
+        render_metrics("serve", DEPTH, &3, &mut out);
+        let text = out.to_string();
         validate(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
         assert!(text.contains(
             "mcc_serve_requests_total{tenant=\"acme\",class=\"interactive\",code=\"200\"} 2"
@@ -483,6 +668,8 @@ mod tests {
             "# TYPE m flavour\n",
             "# NOPE m\n",
             "m_bucket{le=\"1\"} 5\nm_bucket{le=\"2\"} 3\n",
+            "# TYPE m counter\nm 1\nn 2\nm 3\n",
+            "# TYPE m counter\nm 1\n# TYPE n gauge\nn 2\n# HELP m Again.\n",
         ] {
             assert!(validate(bad).is_err(), "accepted: {bad:?}");
         }
@@ -490,11 +677,36 @@ mod tests {
     }
 
     #[test]
+    fn a_declaration_renders_the_same_values_to_stats_and_metrics() {
+        static DECLS: &[Decl<[u64; 2]>] = &[
+            Decl::counter("hits", "Hits.", |v| v[0]),
+            Decl::family(Kind::Gauge, "depth_{}", "depth", "class", "Depth.", |v| {
+                vec![("a".to_string(), v[0]), ("b".to_string(), v[1])]
+            }),
+            Decl::gauge("up", "Up.", |_| 1).metrics_only(),
+        ];
+        let mut r = Response::new("s", 200);
+        render_stats(DECLS, &[4, 9], &mut r);
+        let line = r.to_line();
+        assert_eq!(Response::field_num(&line, "hits"), Some(4));
+        assert_eq!(Response::field_num(&line, "depth_b"), Some(9));
+        assert_eq!(Response::field_num(&line, "up"), None);
+        let mut out = Exposition::default();
+        render_metrics("x", DECLS, &[4, 9], &mut out);
+        let text = out.to_string();
+        validate(&text).unwrap();
+        assert!(text.contains("# TYPE mcc_x_hits_total counter\nmcc_x_hits_total 4\n"), "{text}");
+        assert!(text.contains("mcc_x_depth{class=\"b\"} 9\n"), "{text}");
+        assert!(text.contains("# TYPE mcc_x_up gauge\nmcc_x_up 1\n"), "{text}");
+    }
+
+    #[test]
     fn merge_adds_the_shard_label_everywhere() {
         let shard = "# HELP m Help.\n# TYPE m counter\nm{a=\"1\"} 2\nplain 7\n";
-        let mut out = String::new();
-        merge_with_label(&mut out, shard, "shard", "b0");
-        merge_with_label(&mut out, shard, "shard", "b1");
+        let mut merged = Exposition::default();
+        merged.merge(shard, "shard", "b0");
+        merged.merge(shard, "shard", "b1");
+        let out = merged.to_string();
         assert_eq!(out.matches("# HELP m Help.").count(), 1, "headers dedup: {out}");
         assert!(out.contains("m{shard=\"b0\",a=\"1\"} 2"));
         assert!(out.contains("plain{shard=\"b1\"} 7"));

@@ -35,7 +35,7 @@
 
 use std::collections::HashMap;
 
-use mcc_cache::disk::fnv1a;
+use mcc_harness::hash::fnv1a;
 use mcc_harness::json::{esc, get_num, get_str, parse_object, Val};
 
 /// Hard cap on one inbound wire frame. A peer that sends a longer line gets a

@@ -1,5 +1,5 @@
-//! Structured per-request trace records: a JSONL append log with the
-//! campaign journal's sealing discipline ([`mcc_harness::journal`]) —
+//! Structured per-request trace records: a JSONL append log sealed like
+//! the campaign journal ([`mcc_harness::hash::seal`] seals both) —
 //! every line carries an FNV-1a seal over its body and a dense sequence
 //! number, so a torn tail (a crash mid-append, a truncated copy) is
 //! detectable and replay recovers exactly the durable prefix.
@@ -23,7 +23,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use mcc_harness::json::{esc, get_num, get_str, parse_object};
-use mcc_harness::journal::fnv1a;
+use mcc_harness::hash::{seal, unseal};
 
 use crate::qos::Class;
 
@@ -61,29 +61,13 @@ impl TraceRecord {
             self.tier,
             self.us
         );
-        let sum = fnv1a(body.as_bytes());
-        format!("{},\"sum\":\"{sum:016x}\"}}\n", &body[..body.len() - 1])
+        seal(&body)
     }
 
     /// Parses and verifies one sealed line. `None` for anything torn:
     /// missing seal, bad checksum, missing fields.
     fn from_line(line: &str) -> Option<(u64, TraceRecord)> {
-        let line = line.trim_end_matches('\n');
-        let idx = line.rfind(",\"sum\":\"")?;
-        let hex = line.get(idx + 8..idx + 24)?;
-        // Seals are canonical lowercase hex; `from_str_radix` alone
-        // would also accept a case-flipped seal as intact.
-        if !hex.chars().all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c)) {
-            return None;
-        }
-        let sum = u64::from_str_radix(hex, 16).ok()?;
-        if !line.ends_with("\"}") || line.len() != idx + 26 {
-            return None;
-        }
-        let body = format!("{}}}", &line[..idx]);
-        if fnv1a(body.as_bytes()) != sum {
-            return None;
-        }
+        let body = unseal(line.trim_end_matches('\n'))?;
         let m = parse_object(&body)?;
         let seq = get_num(&m, "seq")?;
         let class = Class::parse(Some(&get_str(&m, "class")?)).ok()?;
